@@ -12,15 +12,12 @@ Library modules:
   checks, exponent arithmetic
 - cli: batch front-end emitting CSV reports
 
-The hot Kloosterman kernel has a compiled backend with a pure Python
-fallback; `backend_name()` reports which one is active.
+Every Kloosterman sum goes through one numpy kernel, deltasum._backend.
 """
-
-from ._backend import BACKEND as _BACKEND
 
 __version__ = "0.1.0"
 
 
 def backend_name() -> str:
-    """Name of the active exponential-sum backend ("c" or "python")."""
-    return _BACKEND
+    """Name of the Kloosterman kernel, recorded as run provenance."""
+    return "numpy"

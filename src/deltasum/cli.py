@@ -261,21 +261,12 @@ def _cmd_delta(p: dict) -> tuple[list[str], list[tuple], int]:
     return ["n", "value"], rows, 0
 
 
-_VORONOI_DEFAULT_BOUNDS = {
-    "Delta_1_12": 4000,
-    "E8_2_8": 4000,
-    "E6_3_6": 6000,
-    "E4_5_4": 9000,
-    "E2_11_2": 20000,
-}
-
-
 def _cmd_voronoi(p: dict) -> tuple[list[str], list[tuple], int]:
     if p["q"] < 1:
         raise ConfigError("q must be positive")
     if math.gcd(p["a"], p["q"]) != 1:
         raise ConfigError("a and q must be coprime")
-    bound = p["bound"] or _VORONOI_DEFAULT_BOUNDS[p["form"]]
+    bound = p["bound"] or pipeline.VORONOI_BOUNDS[p["form"]]
     form = modforms.builtin_form(p["form"], bound=bound)
     h = SmoothBump(p["support_lo"], p["support_hi"], sharpness=1.0, normalization="peak")
     rep = pipeline.verify_voronoi(form, p["a"], p["q"], h, truncation_tol=p["truncation_tol"])
@@ -499,6 +490,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:  # ConfigError, validation gates, preconditions
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:  # CalibrationError, NumericalFailure, ...
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     text = _render_csv(args.command, columns, rows)
     out_path = _resolve_out(args.out)
     if out_path is None:

@@ -1,8 +1,8 @@
 """Kloosterman and Ramanujan sums with Weil-bound metadata.
 
 The standard sum S(a, b; c) = sum over x mod c, gcd(x, c) = 1, of
-e((a x + b x^-1)/c) is evaluated by the pinned brute-force kernel (see
-deltasum._backend). Built on top of it are the two concrete Kloosterman
+e((a x + b x^-1)/c) is evaluated by the numpy phase-histogram kernel in
+deltasum._backend. Built on top of it are the two concrete Kloosterman
 families produced by the plain and conductor-lowered delta decompositions:
 one carries the level inverted into the argument (the cusp-pair structure),
 the other absorbs the level into the modulus (the sum at the cusp at
@@ -29,7 +29,7 @@ __all__ = [
     "twisted_multiplicativity",
 ]
 
-_MAX_MODULUS = 1 << 31  # keeps a*x + b*xinv inside 63 bits in the kernel
+_MAX_MODULUS = 1 << 31  # keeps the kernel's int64 products below 2^62
 
 # Near-integrality of the float value is only a meaningful smoke test for
 # small prime moduli (algebraic-integer values); the annotation is attached
@@ -147,14 +147,14 @@ def principal_cusp_sum(
 def recombine_residues(q: int, p: int) -> list[int]:
     """Residues gamma mod q*p with gcd(gamma, q) = 1, realized as a + b*q.
 
-    The construction {a + b q : a mod q coprime, b mod p} is checked against
-    the direct coprimality filter; the two sets agree exactly when
-    gcd(q, p) = 1.
+    gamma = a + b q with 0 <= a < q and 0 <= b < p is a bijection onto Z/qp
+    for every q and p (a is gamma mod q, then b = (gamma - a)/q), and
+    gcd(gamma, q) = gcd(a, q). So {a + b q : a coprime to q} is exactly the
+    coprime residues, whether or not gcd(q, p) = 1; the construction is
+    checked against the direct coprimality filter.
     """
     if q < 1 or p < 1:
         raise ValueError("q and p must be positive")
-    if gcd(q, p) != 1:
-        raise ValueError("q and p must be coprime")
     qp = q * p
     built = sorted(
         (a + b * q) % qp for a in range(q) if gcd(a, q) == 1 for b in range(p)

@@ -38,6 +38,7 @@ __all__ = [
     "PipelineMismatch",
     "ShiftedSumSpec",
     "SumReport",
+    "VORONOI_BOUNDS",
     "VoronoiReport",
     "default_delta_bump",
     "diagonal_split",
@@ -467,6 +468,18 @@ def _twisted_partial_sum(f: Newform, a: int, q: int, h: SmoothBump) -> complex:
         re.append(z.real)
         im.append(z.imag)
     return complex(math.fsum(re), math.fsum(im))
+
+
+# Coefficient bound per built-in form, enough for verify_voronoi's dual sum to
+# reach its truncation point with a test function on [40, 200] and the small
+# q that verify-all and the CLI default to.
+VORONOI_BOUNDS = {
+    "Delta_1_12": 4000,
+    "E8_2_8": 4000,
+    "E6_3_6": 6000,
+    "E4_5_4": 9000,
+    "E2_11_2": 20000,
+}
 
 
 def verify_voronoi(

@@ -130,17 +130,10 @@ def test_criterion_4_kloosterman_collapse_and_weil():
 
 def test_criterion_5_voronoi_phase():
     h = kernels.SmoothBump(40.0, 200.0, sharpness=1.0, normalization="peak")
-    bounds = {
-        "Delta_1_12": 4000,
-        "E8_2_8": 4000,
-        "E6_3_6": 6000,
-        "E4_5_4": 9000,
-        "E2_11_2": 20000,
-    }
     worst_eta = 0.0
     worst_res = 0.0
     for fid in modforms.BUILTIN_FORM_IDS:
-        form = modforms.builtin_form(fid, bound=bounds[fid])
+        form = modforms.builtin_form(fid, bound=pipeline.VORONOI_BOUNDS[fid])
         for q in (1, 2, 3, 4):
             if gcd(q, form.level) != 1:
                 continue

@@ -1,5 +1,7 @@
 import io
 import math
+import subprocess
+import sys
 from contextlib import redirect_stdout
 
 import pytest
@@ -131,3 +133,17 @@ def test_kloosterman_sweep_deterministic():
     _, second = _run(args)
     assert first == second
     assert len(first.strip().splitlines()) == 2 + 40 * 3
+
+
+def test_numerical_failure_exit_status():
+    # Q this close to 1 leaves the calibration constant unusable
+    proc = subprocess.run(
+        [sys.executable, "-m", "deltasum.cli", "delta", "--Q", "1.01"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: CalibrationError: ")
+    assert len(proc.stderr.splitlines()) == 1

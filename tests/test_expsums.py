@@ -5,7 +5,7 @@ from math import gcd
 
 import pytest
 
-from deltasum import arith, expsums
+from deltasum import arith, expsums, verify
 
 
 def test_hand_values():
@@ -47,24 +47,9 @@ def test_symmetry():
 
 
 def test_collapse_bit_for_bit():
-    """Independent direct loop (same pinned algorithm, separate code)."""
-    from math import cos, pi
-
-    rng = random.Random(12)
-    for _ in range(40):
-        c = rng.randrange(2, 700)
-        a, b = rng.randrange(0, c), rng.randrange(0, c)
-        s = comp = 0.0
-        for x in range(1, c):
-            if gcd(x, c) != 1:
-                continue
-            t = (a * x + b * pow(x, -1, c)) % c
-            term = cos(2.0 * pi * t / c)
-            y = term - comp
-            tot = s + y
-            comp = (tot - s) - y
-            s = tot
-        assert s == expsums.kloosterman(a, b, c).value
+    """The independent plain-loop restatement of the kernel agrees bitwise."""
+    row = verify.check_collapse_bitwise()
+    assert row.status == "PASS", row.detail
 
 
 def test_twisted_multiplicativity_examples():
@@ -158,8 +143,8 @@ def test_recombine_residues():
     got = expsums.recombine_residues(4, 5)
     assert len(got) == 10
     assert got == [g for g in range(20) if gcd(g, 4) == 1]
-    with pytest.raises(ValueError):
-        expsums.recombine_residues(4, 6)
+    # a + b q is a bijection onto Z/qp also when gcd(q, p) > 1
+    assert set(expsums.recombine_residues(4, 6)) == {g for g in range(24) if gcd(g, 4) == 1}
 
 
 def test_recombination_cardinality():
@@ -167,6 +152,4 @@ def test_recombination_cardinality():
     for _ in range(30):
         q = rng.randrange(1, 40)
         p = rng.randrange(1, 40)
-        if gcd(q, p) != 1:
-            continue
         assert len(expsums.recombine_residues(q, p)) == arith.phi(q) * p
