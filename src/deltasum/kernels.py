@@ -25,7 +25,6 @@ from .arith import is_prime
 from .expsums import ramanujan_sum
 
 __all__ = [
-    "BesselEvaluator",
     "CalibrationError",
     "DeltaScheme",
     "NumericalFailure",
@@ -227,142 +226,144 @@ def _adaptive_gk_1d(f, lo, hi, tol, max_depth=50):
 
 
 # ---------------------------------------------------------------------------
-# J-Bessel evaluation: power series below the crossover, Hankel asymptotics
-# (plus stable upward recurrence for higher orders) above it
+# J-Bessel evaluation: power series up to the crossover; above it the Hankel
+# expansion for orders 0 and 1 with upward recurrence where x >= order, and
+# Miller's backward recurrence where x < order
 # ---------------------------------------------------------------------------
 
 BESSEL_CROSSOVER = 12.0
 _MAX_ORDER = 20
+_CHUNK = 1 << 15  # elements per pass, so the temporaries stay small
+_HANKEL_MAX_TERMS = 39
+_MILLER_START = 64  # even; J_64(x) / Y_64(x) is below 1e-40 for x < 20
 
 
-def _bessel_series(order: int, x: float) -> float:
+def _series_stop(order: int, x: float) -> int:
+    """Terms the power series needs at x: the first m with
+    |term| < 1e-19 |partial sum|."""
     half = 0.5 * x
     term = half**order / math.factorial(order)
     acc = term
-    m = 1
-    while m < 120:
+    for m in range(1, 120):
         term *= -(half * half) / (m * (m + order))
         acc += term
-        if abs(term) < 1e-19 * (abs(acc) + 1e-300):
-            break
-        m += 1
+        if abs(term) < 1e-19 * abs(acc):
+            return m
+    return 120
+
+
+def _hankel_stop(order: int, x: float) -> int:
+    """Terms of the Hankel expansion added at x before the first term that
+    stops decreasing or drops below 1e-19."""
+    mu = 4.0 * order * order
+    term = 1.0
+    prev = math.inf
+    for m in range(1, _HANKEL_MAX_TERMS + 1):
+        term *= (mu - (2.0 * m - 1.0) ** 2) / (m * 8.0 * x)
+        if abs(term) >= prev or abs(term) < 1e-19:
+            return m - 1
+        prev = abs(term)
+    return _HANKEL_MAX_TERMS
+
+
+# Every order runs a fixed number of terms, the count its series needs at the
+# crossover, where the terms are largest; so a value never depends on its
+# neighbours.
+_SERIES_TERMS = tuple(_series_stop(k, BESSEL_CROSSOVER) for k in range(_MAX_ORDER + 1))
+
+# Lower edges of the x bands of the Hankel kernel: unit steps where the
+# stop rule's count still grows with x, then ratio 2^(1/4).  A band runs the
+# count the stop rule gives at its lower edge; the last band is unbounded.
+_HANKEL_BANDS = np.array(
+    [float(x) for x in range(10, 20)] + [20.0 * 2.0 ** (k / 4.0) for k in range(48)]
+)
+
+
+def _hankel_band_coefficients(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """The coefficients in z = 1/x^2 of P and of x Q, one row per power of z
+    (lowest first) and one column per band, zero past the band's count:
+    P = sum_k (-1)^k a_2k z^k and Q = x^-1 sum_k (-1)^k a_(2k+1) z^k, with
+    a_m = prod_(j <= m) (4 order^2 - (2j - 1)^2) / (8 j)."""
+    mu = 4.0 * order * order
+    a = [1.0]
+    for m in range(1, _HANKEL_MAX_TERMS + 1):
+        a.append(a[-1] * (mu - (2.0 * m - 1.0) ** 2) / (m * 8.0))
+    signed = np.array([(-1) ** (m // 2) * a[m] for m in range(_HANKEL_MAX_TERMS + 1)])
+    width = _HANKEL_MAX_TERMS // 2 + 1
+    p = np.zeros((width, _HANKEL_BANDS.size))
+    q = np.zeros((width, _HANKEL_BANDS.size))
+    for i, edge in enumerate(_HANKEL_BANDS):
+        n = _hankel_stop(order, float(edge))
+        p[: n // 2 + 1, i] = signed[0 : n + 1 : 2]
+        q[: (n + 1) // 2, i] = signed[1 : n + 1 : 2]
+    return p, q
+
+
+_HANKEL_COEFFS = (_hankel_band_coefficients(0), _hankel_band_coefficients(1))
+
+
+def _horner(table: np.ndarray, band: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """sum_k table[k, band] z^k.  Leading zeros leave the sum bitwise
+    unchanged (0 * z + c = c), so each element gets its own band's sum
+    whatever degree the other elements need."""
+    used = table[:, band.min() : band.max() + 1]
+    degree = int(np.flatnonzero(used.any(axis=1)).max(initial=0))
+    acc = table[degree][band]
+    for k in range(degree - 1, -1, -1):
+        acc *= z
+        acc += table[k][band]
     return acc
 
 
-def _hankel_pq(order: int, x: float) -> tuple[float, float]:
-    mu = 4.0 * order * order
-    p_acc = 1.0
-    q_acc = 0.0
-    term = 1.0
-    prev = math.inf
-    for m in range(1, 40):
-        term *= (mu - (2.0 * m - 1.0) ** 2) / (m * 8.0 * x)
-        if abs(term) >= prev or abs(term) < 1e-19:
-            break
-        prev = abs(term)
-        r = m % 4
-        if r == 0:
-            p_acc += term
-        elif r == 1:
-            q_acc += term
-        elif r == 2:
-            p_acc -= term
-        else:
-            q_acc -= term
-    return p_acc, q_acc
+def _hankel_j01(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """J0 and J1 from the Hankel expansion, the number of terms taken from
+    each element's x band."""
+    # x below the first edge (only the branch checks ask) takes the first band
+    band = np.maximum(np.searchsorted(_HANKEL_BANDS, xs, side="right") - 1, 0)
+    z = 1.0 / (xs * xs)
+    (p0, q0), (p1, q1) = _HANKEL_COEFFS
+    omega = xs - 0.25 * math.pi
+    cos_w = np.cos(omega)
+    sin_w = np.sin(omega)
+    amp = np.sqrt(2.0 / (math.pi * xs))
+    # J1 has phase omega - pi/2: cos(omega - pi/2) = sin(omega)
+    j0 = amp * (_horner(p0, band, z) * cos_w - _horner(q0, band, z) / xs * sin_w)
+    j1 = amp * (_horner(p1, band, z) * sin_w + _horner(q1, band, z) / xs * cos_w)
+    return j0, j1
 
 
-def _bessel_asymptotic(order: int, x: float) -> float:
-    """Hankel expansion for orders 0 and 1, then upward recurrence."""
-    vals = []
-    for k in (0, 1):
-        p, q = _hankel_pq(k, x)
-        omega = x - 0.5 * k * math.pi - 0.25 * math.pi
-        vals.append(
-            math.sqrt(2.0 / (math.pi * x)) * (p * math.cos(omega) - q * math.sin(omega))
-        )
-    j_prev, j_cur = vals
-    if order == 0:
-        return j_prev
-    for k in range(1, order):
-        j_prev, j_cur = j_cur, (2.0 * k / x) * j_cur - j_prev
-    return j_cur
-
-
-def bessel_j(order: int, x: float) -> float:
-    """J_order(x) for 0 <= order <= 20, x >= 0."""
-    if not 0 <= order <= _MAX_ORDER:
-        raise ValueError(f"order must be in [0, {_MAX_ORDER}]")
-    if x < 0:
-        raise ValueError("x must be nonnegative")
-    if x <= BESSEL_CROSSOVER:
-        return _bessel_series(order, x)
-    return _bessel_asymptotic(order, x)
-
-
-@dataclass(frozen=True)
-class BesselEvaluator:
-    """J_order with the series/asymptotic branch structure made explicit."""
-
-    order: int
-    crossover: float = BESSEL_CROSSOVER
-
-    def __call__(self, x: float) -> float:
-        if x <= self.crossover:
-            return self.series_branch(x)
-        return self.asymptotic_branch(x)
-
-    def series_branch(self, x: float) -> float:
-        return _bessel_series(self.order, x)
-
-    def asymptotic_branch(self, x: float) -> float:
-        return _bessel_asymptotic(self.order, x)
+def _bessel_miller(order: int, xs: np.ndarray) -> np.ndarray:
+    """J_order for 0 < x < order: backward recurrence from J_N = 1, J_(N+1) = 0,
+    normalised by 1 = J_0 + 2 sum_k J_2k (DLMF 3.6(vi), 10.12.4)."""
+    j_next = np.zeros_like(xs)
+    j_cur = np.ones_like(xs)
+    norm = 2.0 * j_cur
+    value = j_cur
+    for k in range(_MILLER_START, 0, -1):
+        j_next, j_cur = j_cur, (2.0 * k) * j_cur / xs - j_next  # j_cur = J_(k-1)
+        if k - 1 == order:
+            value = j_cur
+        if (k - 1) % 2 == 0:
+            norm += j_cur if k == 1 else 2.0 * j_cur
+    return value / norm
 
 
 def _bessel_series_array(order: int, xs: np.ndarray) -> np.ndarray:
+    """Power series, the series branch of bessel_j_array."""
     half = 0.5 * xs
     with np.errstate(divide="ignore"):
         term = half**order / math.factorial(order)
     acc = term.copy()
     hh = half * half
-    for m in range(1, 120):
+    for m in range(1, _SERIES_TERMS[order] + 1):
         term = term * (-hh) / (m * (m + order))
         acc += term
-        if np.max(np.abs(term)) < 1e-19 * (np.max(np.abs(acc)) + 1e-300):
-            break
     return acc
 
 
-def _bessel_asymptotic_array(order: int, xs: np.ndarray) -> np.ndarray:
-    out = []
-    for k in (0, 1):
-        mu = 4.0 * k * k
-        p_acc = np.ones_like(xs)
-        q_acc = np.zeros_like(xs)
-        term = np.ones_like(xs)
-        prev = np.full_like(xs, np.inf)
-        active = np.ones_like(xs, dtype=bool)
-        for m in range(1, 40):
-            term = term * ((mu - (2.0 * m - 1.0) ** 2) / (m * 8.0)) / xs
-            active &= np.abs(term) < prev
-            if not active.any():
-                break
-            prev = np.abs(term)
-            r = m % 4
-            contrib = np.where(active, term, 0.0)
-            if r == 0:
-                p_acc += contrib
-            elif r == 1:
-                q_acc += contrib
-            elif r == 2:
-                p_acc -= contrib
-            else:
-                q_acc -= contrib
-        omega = xs - 0.5 * k * math.pi - 0.25 * math.pi
-        out.append(
-            np.sqrt(2.0 / (math.pi * xs)) * (p_acc * np.cos(omega) - q_acc * np.sin(omega))
-        )
-    j_prev, j_cur = out
+def _hankel_upward(order: int, xs: np.ndarray) -> np.ndarray:
+    """J_order for x >= order: Hankel J0 and J1, then upward recurrence."""
+    j_prev, j_cur = _hankel_j01(xs)
     if order == 0:
         return j_prev
     for k in range(1, order):
@@ -370,20 +371,49 @@ def _bessel_asymptotic_array(order: int, xs: np.ndarray) -> np.ndarray:
     return j_cur
 
 
+def _by_mask(order: int, xs: np.ndarray, mask: np.ndarray, if_true, if_false) -> np.ndarray:
+    """if_true(order, x) where mask holds, if_false(order, x) elsewhere."""
+    if mask.all():
+        return if_true(order, xs)
+    if not mask.any():
+        return if_false(order, xs)
+    out = np.empty_like(xs)
+    out[mask] = if_true(order, xs[mask])
+    out[~mask] = if_false(order, xs[~mask])
+    return out
+
+
+def _bessel_asymptotic_array(order: int, xs: np.ndarray) -> np.ndarray:
+    """The branch of bessel_j_array above the crossover."""
+    return _by_mask(order, xs, xs < order, _bessel_miller, _hankel_upward)
+
+
 def bessel_j_array(order: int, xs: np.ndarray) -> np.ndarray:
-    """Vectorized J_order, same branch structure as bessel_j."""
+    """J_order elementwise, for 0 <= order <= 20 and x >= 0.
+
+    Accuracy contract, tested against mpmath for every order on (0, 500]:
+    absolute error at most 5e-12, and relative error at most 1e-10 where
+    x < order.  Each value depends on (order, x) alone, never on the other
+    elements of the array.
+    """
     xs = np.asarray(xs, dtype=float)
     if not 0 <= order <= _MAX_ORDER:
         raise ValueError(f"order must be in [0, {_MAX_ORDER}]")
     if np.any(xs < 0):
         raise ValueError("x must be nonnegative")
-    out = np.empty_like(xs)
-    low = xs <= BESSEL_CROSSOVER
-    if low.any():
-        out[low] = _bessel_series_array(order, xs[low])
-    if (~low).any():
-        out[~low] = _bessel_asymptotic_array(order, xs[~low])
-    return out
+    flat = xs.ravel()
+    out = np.empty_like(flat)
+    for start in range(0, flat.size, _CHUNK):
+        x = flat[start : start + _CHUNK]
+        out[start : start + _CHUNK] = _by_mask(
+            order, x, x <= BESSEL_CROSSOVER, _bessel_series_array, _bessel_asymptotic_array
+        )
+    return out.reshape(xs.shape)
+
+
+def bessel_j(order: int, x: float) -> float:
+    """J_order(x) for one x; the one-element case of bessel_j_array."""
+    return float(bessel_j_array(order, np.array([x], dtype=float))[0])
 
 
 # ---------------------------------------------------------------------------

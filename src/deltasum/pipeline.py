@@ -401,24 +401,28 @@ def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _dual_side(
-    f: Newform, a: int, q: int, h: SmoothBump, truncation_tol: float
-) -> tuple[complex, int]:
-    """(2 pi / (q sqrt(P2))) sum_n lam(n) e(-n (a P2)^-1 / q) I_h(n) with
-    I_h(n) the Bessel-kernel integral of h; truncated once |I_h| stays below
-    truncation_tol."""
+    f: Newform, a: int, q: int, hs: tuple[SmoothBump, ...], truncation_tol: float
+) -> list[tuple[complex, int]]:
+    """(2 pi / (q sqrt(P2))) sum_n lam(n) e(-n (a P2)^-1 / q) I_h(n) for each
+    h in hs, with I_h(n) the Bessel-kernel integral of h, and the number of
+    dual terms each used.  The sum for h is truncated once |I_h| stays below
+    truncation_tol for two blocks.  The test functions share one support, so
+    each block's Bessel matrix is built once for all of them."""
+    lo, hi = hs[0].lo, hs[0].hi
+    if any((h.lo, h.hi) != (lo, hi) for h in hs):
+        raise ValueError("the test functions must share one support")
     p2 = f.level // gcd(f.level, q)
     root_scale = q * math.sqrt(p2)
     inv = inverse_mod(a * p2, q) if q > 1 else 0
     order = f.weight - 1
-    lo, hi = h.lo, h.hi
     span = math.sqrt(hi) - math.sqrt(lo)
     block = 256
-    re_terms: list[float] = []
-    im_terms: list[float] = []
-    n_used = 0
-    quiet_blocks = 0
+    re_terms: list[list[float]] = [[] for _ in hs]
+    im_terms: list[list[float]] = [[] for _ in hs]
+    n_used = [0] * len(hs)
+    quiet_blocks = [0] * len(hs)
     start = 1
-    while True:
+    while any(quiet < 2 for quiet in quiet_blocks):
         if start > f.bound:
             raise InsufficientCoefficients(
                 f"dual sum for {f.form_id} needs coefficients beyond {f.bound}"
@@ -435,25 +439,28 @@ def _dual_side(
         half = 0.5 * (edges[1] - edges[0])
         ys = (mids[:, None] + half * nodes[None, :]).ravel()
         wts = (half * weights)[None, :].repeat(panels, axis=0).ravel()
-        hy = h.value_array(ys)
         args = (4.0 * math.pi / root_scale) * np.sqrt(np.outer(ns, ys))
         jvals = bessel_j_array(order, args.ravel()).reshape(args.shape)
-        integrals = jvals @ (wts * hy)
         lam = np.array([f.lam(int(n)) for n in ns])
         phases = np.exp(-2j * math.pi * ((inv * ns) % q) / q) if q > 1 else np.ones(len(ns))
-        terms = lam * integrals * phases
-        re_terms.extend(terms.real.tolist())
-        im_terms.extend(terms.imag.tolist())
-        n_used = stop
-        if float(np.abs(integrals).max()) < truncation_tol:
-            quiet_blocks += 1
-            if quiet_blocks >= 2:
-                break
-        else:
-            quiet_blocks = 0
+        for i, h in enumerate(hs):
+            if quiet_blocks[i] >= 2:
+                continue
+            integrals = jvals @ (wts * h.value_array(ys))
+            terms = lam * integrals * phases
+            re_terms[i].extend(terms.real.tolist())
+            im_terms[i].extend(terms.imag.tolist())
+            n_used[i] = stop
+            if float(np.abs(integrals).max()) < truncation_tol:
+                quiet_blocks[i] += 1
+            else:
+                quiet_blocks[i] = 0
         start = stop + 1
-    total = complex(math.fsum(re_terms), math.fsum(im_terms))
-    return total * (2.0 * math.pi / root_scale), n_used
+    scale = 2.0 * math.pi / root_scale
+    return [
+        (complex(math.fsum(re), math.fsum(im)) * scale, used)
+        for re, im, used in zip(re_terms, im_terms, n_used)
+    ]
 
 
 def _twisted_partial_sum(f: Newform, a: int, q: int, h: SmoothBump) -> complex:
@@ -502,7 +509,11 @@ def verify_voronoi(
     if h2 is None:
         h2 = SmoothBump(h.lo, h.hi, sharpness=h.sharpness * 1.7, normalization="peak")
     lhs = _twisted_partial_sum(f, a, q, h)
-    dual, used = _dual_side(f, a, q, h, truncation_tol)
+    if (h2.lo, h2.hi) == (h.lo, h.hi):
+        (dual, used), (dual2, used2) = _dual_side(f, a, q, (h, h2), truncation_tol)
+    else:
+        [(dual, used)] = _dual_side(f, a, q, (h,), truncation_tol)
+        [(dual2, used2)] = _dual_side(f, a, q, (h2,), truncation_tol)
     if abs(dual) <= 1e-8 and abs(lhs) <= 1e-8:
         raise Inconclusive(
             f"both sides below 1e-8 (|lhs|={abs(lhs)}, |dual|={abs(dual)}); "
@@ -510,7 +521,6 @@ def verify_voronoi(
         )
     eta = lhs / dual
     lhs2 = _twisted_partial_sum(f, a, q, h2)
-    dual2, used2 = _dual_side(f, a, q, h2, truncation_tol)
     residual = abs(lhs2 - eta * dual2) / max(abs(lhs2), 1e-12)
     return VoronoiReport(
         eta=eta,

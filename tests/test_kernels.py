@@ -76,10 +76,11 @@ def test_bessel_against_integral_oracle(order, x):
 
 
 def test_bessel_branch_agreement():
+    xs = np.linspace(11.0, 13.0, 11)
     for order in (0, 1, 5, 11, 20):
-        ev = kernels.BesselEvaluator(order)
-        for x in np.linspace(11.0, 13.0, 11):
-            assert abs(ev.series_branch(float(x)) - ev.asymptotic_branch(float(x))) < 1e-8
+        series = kernels._bessel_series_array(order, xs)
+        asymptotic = kernels._bessel_asymptotic_array(order, xs)
+        assert float(np.abs(series - asymptotic).max()) < 1e-8
 
 
 def test_bessel_recurrence():
@@ -93,11 +94,47 @@ def test_bessel_recurrence():
 
 
 def test_bessel_array_matches_scalar():
-    xs = np.linspace(0.0, 120.0, 977)
-    for order in (0, 1, 4, 11):
-        arr = kernels.bessel_j_array(order, xs)
-        ref = np.array([kernels.bessel_j(order, float(x)) for x in xs])
-        assert float(np.abs(arr - ref).max()) < 1e-11
+    """bessel_j(order, x), a one-element array, equals bit for bit the same x
+    inside a shuffled array that spans several chunks and every branch."""
+    rng = np.random.default_rng(7)
+    probes = np.concatenate([
+        np.linspace(0.0, 120.0, 977),
+        [1e-3, kernels.BESSEL_CROSSOVER, 19.9, 20.0],
+        rng.uniform(120.0, 30000.0, 40),
+    ])
+    background = rng.uniform(0.0, 30000.0, 150_000)
+    background[::3] = rng.uniform(0.0, 25.0, background[::3].size)
+    xs = np.concatenate([probes, background])
+    perm = rng.permutation(xs.size)
+    at = np.argsort(perm)[: probes.size]
+    for order in (0, 1, 4, 11, 20):
+        shuffled = kernels.bessel_j_array(order, xs[perm])
+        single = np.array([kernels.bessel_j(order, float(x)) for x in probes])
+        assert np.array_equal(shuffled[at], single)
+
+
+def test_bessel_array_matches_mpmath():
+    """The accuracy contract of bessel_j_array: absolute error <= 5e-12 on
+    (0, 500], relative error <= 1e-10 where x < order."""
+    mpmath = pytest.importorskip("mpmath")
+    grid = np.concatenate([
+        np.linspace(0.02, 40.0, 240),
+        np.linspace(40.0, 500.0, 93),
+        kernels._HANKEL_BANDS[kernels._HANKEL_BANDS <= 500.0],
+        [kernels.BESSEL_CROSSOVER, np.nextafter(kernels.BESSEL_CROSSOVER, np.inf)],
+    ])
+    with mpmath.workdps(30):
+        for order in range(21):
+            near = [order - 1e-6, float(order), order + 1e-6] if order else []
+            xs = np.unique(np.concatenate([grid, near]))
+            got = kernels.bessel_j_array(order, xs)
+            ref = np.array([float(mpmath.besselj(order, mpmath.mpf(float(x)))) for x in xs])
+            err = np.abs(got - ref)
+            assert float(err.max()) <= 5e-12, (order, xs[err.argmax()])
+            below = xs < order
+            if below.any():
+                rel = err[below] / np.abs(ref[below])
+                assert float(rel.max()) <= 1e-10, (order, xs[below][rel.argmax()])
 
 
 def test_bessel_rejects_bad_arguments():

@@ -173,6 +173,26 @@ def test_voronoi_linear_in_test_function():
     assert abs(r1.eta - r2.eta) < 1e-8
 
 
+@pytest.mark.parametrize("q", [1, 3])
+@pytest.mark.parametrize("form_id", modforms.BUILTIN_FORM_IDS)
+def test_dual_side_fused_matches_separate(form_id, q):
+    # one Bessel matrix per block for both test functions, each keeping its
+    # own terms and its own stop: bit for bit the two separate sums
+    f = modforms.builtin_form(form_id, bound=pipeline.VORONOI_BOUNDS[form_id])
+    h = SmoothBump(40.0, 200.0, sharpness=1.0, normalization="peak")
+    h2 = SmoothBump(40.0, 200.0, sharpness=1.7, normalization="peak")
+    fused = pipeline._dual_side(f, 1, q, (h, h2), 1e-12)
+    separate = [pipeline._dual_side(f, 1, q, (g,), 1e-12)[0] for g in (h, h2)]
+    assert [(repr(z), n) for z, n in fused] == [(repr(z), n) for z, n in separate]
+
+
+def test_dual_side_rejects_mixed_supports(delta_form):
+    h = SmoothBump(40.0, 200.0, sharpness=1.0, normalization="peak")
+    wide = SmoothBump(30.0, 200.0, sharpness=1.0, normalization="peak")
+    with pytest.raises(ValueError):
+        pipeline._dual_side(delta_form, 1, 1, (h, wide), 1e-12)
+
+
 def test_voronoi_rejects_shared_factor(delta_form):
     h = SmoothBump(40.0, 200.0, sharpness=1.0, normalization="peak")
     with pytest.raises(ValueError):
