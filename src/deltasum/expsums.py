@@ -6,8 +6,9 @@ deltasum._backend. Built on top of it are the two concrete Kloosterman
 families produced by the plain and conductor-lowered delta decompositions:
 one carries the level inverted into the argument (the cusp-pair structure),
 the other absorbs the level into the modulus (the sum at the cusp at
-infinity). residue_recombination realizes the a + b*q recombination of
-residues mod q*P.
+infinity). recombine_residues realizes the a + b*q recombination of
+residues mod q*P, and coprime_residue_sum is the closed Ramanujan form of
+the additive-character sum over those residues.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .arith import divisors, factorize, gcd3, inverse_mod, mobius, tau
 
 __all__ = [
     "KloostermanValue",
+    "coprime_residue_sum",
     "cusp_pair_sum",
     "kloosterman",
     "principal_cusp_sum",
@@ -99,12 +101,20 @@ def kloosterman(a: int, b: int, c: int, use_crt: bool = False) -> KloostermanVal
     )
 
 
-def ramanujan_sum(q: int, n: int) -> int:
-    """c_q(n) = S(n, 0; q), exactly: sum_{d | gcd(q, n)} d mu(q/d)."""
+def ramanujan_sum(q: int, n):
+    """c_q(n) = S(n, 0; q) = sum_{d | q} d mu(q/d) [d | n], exactly.
+
+    n may be an int or an integer numpy array; the result is an int or an
+    int64 array of the same shape.
+    """
     if q < 1:
         raise ValueError("modulus must be positive")
-    g = math.gcd(q, abs(n)) if n != 0 else q
-    return sum(d * mobius(q // d) for d in divisors(g))
+    total = 0
+    for d in divisors(q):
+        mu = mobius(q // d)
+        if mu:
+            total = total + d * mu * (n % d == 0)
+    return total
 
 
 def twisted_multiplicativity(
@@ -142,6 +152,17 @@ def principal_cusp_sum(
     if level < 1 or q < 1:
         raise ValueError("level and q must be positive")
     return kloosterman(r * m_shift, n - m, q * level).value
+
+
+def coprime_residue_sum(q: int, p: int, t):
+    """sum over gamma mod q p with gcd(gamma, q) = 1 of e(t gamma / (q p)),
+    exactly: p [p | t] c_q(t / p).
+
+    With gamma = a + b q (see recombine_residues) the b-sum is p [p | t]
+    and what is left is the a-sum c_q(t / p). t may be an int or an integer
+    numpy array, as for ramanujan_sum.
+    """
+    return p * (t % p == 0) * ramanujan_sum(q, t // p)
 
 
 def recombine_residues(q: int, p: int) -> list[int]:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .arith import inverse_mod, is_squarefree
 from .characters import enumerate_characters
-from .expsums import kloosterman
+from .expsums import coprime_residue_sum, kloosterman, ramanujan_sum
 from .kernels import (
     DeltaScheme,
     ProductBump,
@@ -153,7 +153,15 @@ class ShiftedSumSpec:
 
 @dataclass(frozen=True)
 class SumReport:
-    """A shifted sum evaluated directly and through the decomposition."""
+    """A shifted sum evaluated directly and through the decomposition.
+
+    identity_residual is |direct - delta|.  partition_residual is
+    |coprime + gamma + modulus - delta|, where the total is summed from
+    P [P | t] c_q(t/P) and the strata from c_{qP}(t) and c_q(t), computed
+    independently; it checks c_{qP}(t) + c_q(t) = P [P | t] c_q(t/P),
+    which holds by multiplicativity of c in the modulus when P does not
+    divide q.
+    """
 
     direct_value: float
     delta_value: float
@@ -194,51 +202,45 @@ def _pair_amplitudes(spec: ShiftedSumSpec) -> tuple[np.ndarray, np.ndarray]:
     """A(t) = sum over pairs with n - m + rM = t of the windowed product.
 
     Grouping by t is an exact reordering: the weight and character sums in
-    the decomposition depend on (n, m) only through t.
+    the decomposition depend on (n, m) only through t.  A is the
+    correlation of the n- and m-weights, so it takes O(X) memory.
     """
     nx, ny = spec.supports()
-    ns = np.arange(nx.start, nx.stop)
-    ms = np.arange(ny.start, ny.stop)
-    if ns.size == 0 or ms.size == 0:
+    if not nx or not ny:
         return np.zeros(0, dtype=np.int64), np.zeros(0)
     w1 = np.array(
-        [spec.f1.lam(int(n)) / math.sqrt(n) * spec.window.fx(n / spec.x_scale) for n in ns]
+        [spec.f1.lam(n) / math.sqrt(n) * spec.window.fx(n / spec.x_scale) for n in nx]
     )
     w2 = np.array(
-        [spec.f2.lam(int(m)) / math.sqrt(m) * spec.window.fy(m / spec.y_scale) for m in ms]
+        [spec.f2.lam(m) / math.sqrt(m) * spec.window.fy(m / spec.y_scale) for m in ny]
     )
-    mat = np.outer(w1, w2)
-    base = int(ns[0]) - int(ms[0]) + spec.r * spec.shift_modulus
-    offsets = np.arange(-(len(ns) - 1), len(ms))
-    ts = base - offsets
-    amps = np.array([float(np.diagonal(mat, offset=int(o)).sum()) for o in offsets])
+    amps = np.correlate(w1, w2, "full")
+    base = nx.start - ny.start + spec.r * spec.shift_modulus
+    ts = np.arange(base - (len(ny) - 1), base + len(nx), dtype=np.int64)
     keep = amps != 0.0
     return ts[keep], amps[keep]
 
 
-def _gamma_cos_sums(ts: np.ndarray, q: int, level: int, gammas: np.ndarray) -> np.ndarray:
-    """sum over gamma of cos(2 pi t gamma / (q P)) for each t (the sums are
-    real by the gamma -> -gamma symmetry)."""
-    qp = q * level
-    if gammas.size == 0:
-        return np.zeros(len(ts))
-    phases = np.mod(np.outer(ts, gammas), qp)
-    return np.cos((2.0 * math.pi / qp) * phases).sum(axis=1)
+def _decomposition(
+    spec: ShiftedSumSpec, scheme: DeltaScheme, ts: np.ndarray, amps: np.ndarray
+) -> tuple[float, float, float, float]:
+    """(total, coprime, gamma, modulus) in one pass over q.
 
-
-def _decomposition_pass(
-    spec: ShiftedSumSpec,
-    scheme: DeltaScheme,
-    ts: np.ndarray,
-    amps: np.ndarray,
-    split: bool,
-) -> tuple[float, float, float]:
+    Each gamma-sum has a closed Ramanujan form: the whole sum over gamma
+    mod qP with gcd(gamma, q) = 1 is P [P | t] c_q(t/P); for P not dividing
+    q the coprime stratum is c_{qP}(t) and the gamma-multiple stratum
+    c_q(t), which add up to the whole; for P | q the whole sum is the
+    modulus stratum.  At level 1 everything is the coprime stratum.
+    """
     level = spec.level
     q_scale = scheme.q_scale
     p_q2 = level * q_scale * q_scale
-    t_abs_max = float(np.abs(ts).max()) if ts.size else 0.0
+    t_abs_max = float(np.abs(ts).max())
     q_top = int(math.ceil(q_scale * max(1.0, 2.0 * t_abs_max / p_q2)))
-    pieces = {Stratum.COPRIME: [], Stratum.GAMMA: [], Stratum.MODULUS: []}
+    total: list[float] = []
+    coprime: list[float] = []
+    gamma: list[float] = []
+    modulus: list[float] = []
     for q in range(1, q_top + 1):
         gvals = delta_weight_array(q / q_scale, ts / p_q2, scheme.bump)
         mask = gvals != 0.0
@@ -246,33 +248,16 @@ def _decomposition_pass(
             continue
         tsq = ts[mask]
         weight = amps[mask] * gvals[mask]
-        qp = q * level
-        all_gammas = np.array([g for g in range(qp) if gcd(g, q) == 1], dtype=np.int64)
-        if not split:
-            k = _gamma_cos_sums(tsq, q, level, all_gammas)
-            pieces[Stratum.COPRIME].append(float(weight @ k))
-            continue
-        if level > 1 and q % level == 0:
-            k = _gamma_cos_sums(tsq, q, level, all_gammas)
-            pieces[Stratum.MODULUS].append(float(weight @ k))
-        elif level > 1:
-            cop = all_gammas[all_gammas % level != 0]
-            div = all_gammas[all_gammas % level == 0]
-            pieces[Stratum.COPRIME].append(
-                float(weight @ _gamma_cos_sums(tsq, q, level, cop))
-            )
-            pieces[Stratum.GAMMA].append(
-                float(weight @ _gamma_cos_sums(tsq, q, level, div))
-            )
+        total.append(float(weight @ coprime_residue_sum(q, level, tsq)))
+        if level == 1:
+            coprime.append(total[-1])
+        elif q % level:
+            coprime.append(float(weight @ ramanujan_sum(q * level, tsq)))
+            gamma.append(float(weight @ ramanujan_sum(q, tsq)))
         else:
-            k = _gamma_cos_sums(tsq, q, level, all_gammas)
-            pieces[Stratum.COPRIME].append(float(weight @ k))
+            modulus.append(total[-1])
     norm = scheme.raw_zero * p_q2
-    return (
-        math.fsum(pieces[Stratum.COPRIME]) / norm,
-        math.fsum(pieces[Stratum.GAMMA]) / norm,
-        math.fsum(pieces[Stratum.MODULUS]) / norm,
-    )
+    return tuple(math.fsum(part) / norm for part in (total, coprime, gamma, modulus))
 
 
 def shifted_sum_bound(spec: ShiftedSumSpec) -> float:
@@ -307,8 +292,7 @@ def shifted_sum_delta(
     ts, amps = _pair_amplitudes(spec)
     if ts.size == 0:
         return SumReport(direct, 0.0, 0.0, 0.0, 0.0, bound, abs(direct), 0.0)
-    total, _, _ = _decomposition_pass(spec, scheme, ts, amps, split=False)
-    s1, s2, s3 = _decomposition_pass(spec, scheme, ts, amps, split=True)
+    total, s1, s2, s3 = _decomposition(spec, scheme, ts, amps)
     identity_residual = abs(direct - total)
     partition_residual = abs((s1 + s2 + s3) - total)
     if identity_residual > max(IDENTITY_REL_TOL * abs(direct), IDENTITY_ABS_TOL):

@@ -413,21 +413,39 @@ def check_ramanujan_degeneration() -> CheckResult:
     )
 
 
+def _cos_sums(ts: np.ndarray, gammas: np.ndarray, modulus: int) -> np.ndarray:
+    """sum over gamma of cos(2 pi t gamma / modulus) for each t, literally."""
+    return np.cos((2.0 * math.pi / modulus) * (np.outer(ts, gammas) % modulus)).sum(axis=1)
+
+
 def check_residue_recombination() -> CheckResult:
+    """The a + b q construction of the gamma set, and the literal cosine
+    sums over it against their closed Ramanujan forms for |t| <= 60: the
+    whole sum on every (q, p), the coprime and gamma-multiple strata where
+    p is a prime not dividing q."""
+    label = "a + b q recombination and the closed forms of its gamma-sums"
+    ts = np.arange(-60, 61, dtype=np.int64)
+    worst = 0.0
     for q, p in ((1, 3), (2, 3), (4, 5), (9, 11), (12, 7), (25, 4), (6, 4)):
-        got = expsums.recombine_residues(q, p)
-        if len(got) != arith.phi(q) * p:
+        gammas = np.array(expsums.recombine_residues(q, p), dtype=np.int64)
+        if len(gammas) != arith.phi(q) * p:
             return CheckResult(
-                "expsums.recombination",
-                "a + b q recombination covers the residues mod q p",
-                FAIL,
-                f"cardinality at (q,p)=({q},{p})",
+                "expsums.recombination", label, FAIL, f"cardinality at (q,p)=({q},{p})"
             )
+        qp = q * p
+        pairs = [(_cos_sums(ts, gammas, qp), expsums.coprime_residue_sum(q, p, ts))]
+        if arith.is_prime(p) and gcd(q, p) == 1:
+            coprime = gammas % p != 0
+            pairs.append((_cos_sums(ts, gammas[coprime], qp), expsums.ramanujan_sum(qp, ts)))
+            pairs.append((_cos_sums(ts, gammas[~coprime], qp), expsums.ramanujan_sum(q, ts)))
+        for literal, closed in pairs:
+            worst = max(worst, float(np.abs(literal - closed).max()))
     return CheckResult(
         "expsums.recombination",
-        "a + b q recombination covers the residues mod q p",
-        PASS,
-        "set equality verified inside the constructor",
+        label,
+        PASS if worst <= 1e-9 else FAIL,
+        f"set equality verified inside the constructor; worst |literal - closed| "
+        f"{_fmt(worst)} over |t| <= 60 ({_fmt(worst / 1e-9)} of tolerance 1e-9)",
     )
 
 
@@ -601,13 +619,19 @@ def check_bessel() -> CheckResult:
             lhs = kernels.bessel_j(k - 1, float(x)) + kernels.bessel_j(k + 1, float(x))
             rhs = 2.0 * k / float(x) * kernels.bessel_j(k, float(x))
             worst_rec = max(worst_rec, abs(lhs - rhs))
-    ok = worst_oracle <= 1e-8 and worst_branch <= 1e-8 and worst_rec <= 1e-7
+    # gates from the 5e-12 accuracy contract of bessel_j_array: one value
+    # against an exact oracle, two values, and the three-term recurrence
+    gates = {"oracle": 1e-11, "branches": 1e-11, "recurrence": 1e-10}
+    observed = {"oracle": worst_oracle, "branches": worst_branch, "recurrence": worst_rec}
+    ok = all(observed[name] <= gate for name, gate in gates.items())
     return CheckResult(
         "kernels.bessel",
         "J-Bessel vs integral oracle, branch agreement, recurrence",
         PASS if ok else FAIL,
-        f"oracle {_fmt(worst_oracle)}, branches {_fmt(worst_branch)}, "
-        f"recurrence {_fmt(worst_rec)}",
+        ", ".join(
+            f"{name} {_fmt(observed[name])} ({_fmt(observed[name] / gate)} of {gate:g})"
+            for name, gate in gates.items()
+        ),
     )
 
 

@@ -73,24 +73,11 @@ def test_criterion_3_pipeline_identity():
     specs = verify.acceptance_specs()
     assert len(specs) >= 6
     assert {s.f1.form_id for s in specs} == set(modforms.BUILTIN_FORM_IDS)
-    worst_id = 0.0
-    worst_part = 0.0
-    for spec in specs:
-        rep = pipeline.shifted_sum_delta(spec)
-        tol = max(1e-6 * abs(rep.direct_value), 1e-10)
-        assert rep.identity_residual <= tol, spec
-        worst_id = max(worst_id, rep.identity_residual / tol)
-        part_tol = 1e-8 * max(abs(rep.delta_value), 1e-300)
-        assert rep.partition_residual <= part_tol, spec
-        worst_part = max(worst_part, rep.partition_residual / part_tol)
+    row = verify.check_shifted_pipeline()
     elapsed = time.perf_counter() - start
+    assert row.status == "PASS", row.detail
     assert elapsed < 300.0
-    _report(
-        3,
-        "pipeline identity",
-        f"{len(specs)} specs, residuals at {worst_id:.2e}/{worst_part:.2e} "
-        f"of tolerance, {elapsed:.1f}s",
-    )
+    _report(3, "pipeline identity", f"{len(specs)} specs, {row.detail}, {elapsed:.1f}s")
 
 
 def test_criterion_4_kloosterman_collapse_and_weil():
@@ -129,24 +116,9 @@ def test_criterion_4_kloosterman_collapse_and_weil():
 
 
 def test_criterion_5_voronoi_phase():
-    h = kernels.SmoothBump(40.0, 200.0, sharpness=1.0, normalization="peak")
-    worst_eta = 0.0
-    worst_res = 0.0
-    for fid in modforms.BUILTIN_FORM_IDS:
-        form = modforms.builtin_form(fid, bound=pipeline.VORONOI_BOUNDS[fid])
-        for q in (1, 2, 3, 4):
-            if gcd(q, form.level) != 1:
-                continue
-            rep = pipeline.verify_voronoi(form, 1, q, h)
-            assert rep.eta_abs_error <= 1e-6, (fid, q)
-            assert rep.residual <= 1e-5, (fid, q)
-            worst_eta = max(worst_eta, rep.eta_abs_error)
-            worst_res = max(worst_res, rep.residual)
-    _report(
-        5,
-        "Voronoi unit phase",
-        f"worst |eta| error {worst_eta:.2e}, worst residual {worst_res:.2e}",
-    )
+    row = verify.check_voronoi()
+    assert row.status == "PASS", row.detail
+    _report(5, "Voronoi unit phase", row.detail)
 
 
 def test_criterion_6_second_moment_identities(moment_window):
@@ -181,16 +153,11 @@ def test_criterion_7_exponent_arithmetic():
     _report(7, "exponent arithmetic")
 
 
-def test_criterion_8_hecke_deligne(all_forms):
-    for form in all_forms.values():
-        for n in range(1, 2001):
-            assert modforms.deligne_ok(form, n)
-        for m in range(2, 2001):
-            for n in range(2, 2000 // m + 1):
-                if gcd(n, form.level) != 1:
-                    continue
-                assert modforms.hecke_residual_exact(form, m, n) == 0
-    _report(8, "Hecke and coefficient-bound suite")
+def test_criterion_8_hecke_deligne():
+    rows = (verify.check_deligne_bound(), verify.check_hecke_exact())
+    for row in rows:
+        assert row.status == "PASS", row.detail
+    _report(8, "Hecke and coefficient-bound suite", " | ".join(r.detail for r in rows))
 
 
 def test_criterion_9_monitored_regressions():

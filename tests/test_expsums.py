@@ -3,6 +3,7 @@ import math
 import random
 from math import gcd
 
+import numpy as np
 import pytest
 
 from deltasum import arith, expsums, verify
@@ -135,6 +136,11 @@ def test_ramanujan_sum_formula():
             )
             assert abs(direct.real - expsums.ramanujan_sum(q, n)) < 1e-8
             assert expsums.ramanujan_sum(q, 0) == arith.phi(q)
+        # one code path for ints and int64 arrays, exact in both
+        ns = np.arange(-60, 61, dtype=np.int64)
+        values = expsums.ramanujan_sum(q, ns)
+        assert values.dtype == np.int64
+        assert values.tolist() == [expsums.ramanujan_sum(q, int(n)) for n in ns]
 
 
 def test_recombine_residues():

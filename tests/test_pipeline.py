@@ -3,10 +3,11 @@ import random
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
 import pytest
 
 from deltasum import modforms, pipeline
-from deltasum.expsums import kloosterman
+from deltasum.expsums import coprime_residue_sum, kloosterman, ramanujan_sum
 from deltasum.kernels import SmoothBump, Stratum
 
 
@@ -104,6 +105,37 @@ def test_shifted_sum_delta_identity(delta_form, level11_form):
     assert rep11.partition_residual <= 1e-8 * abs(rep11.delta_value)
     # Q < P leaves the modulus stratum empty
     assert rep11.stratum_modulus == 0.0
+    # Q = sqrt(8 * 20 / 2) ~ 8.9 > P = 2: q = 2, 4, 6, 8 fill the modulus stratum
+    rep2 = pipeline.shifted_sum_delta(_spec(modforms.builtin_form("E8_2_8"), 3, 1, 20.0))
+    assert rep2.identity_residual <= max(1e-6 * abs(rep2.direct_value), 1e-10)
+    assert rep2.partition_residual <= 1e-8 * abs(rep2.delta_value)
+    assert 0.0 not in (rep2.stratum_coprime, rep2.stratum_gamma, rep2.stratum_modulus)
+
+
+@pytest.mark.parametrize("level", [1, 2, 3, 5, 11])
+def test_gamma_sum_closed_forms(level):
+    """The decomposition's gamma-sums against literal cosine sums over
+    gamma mod qP with gcd(gamma, q) = 1: the whole sum is P [P | t]
+    c_q(t/P); for P > 1 not dividing q the coprime stratum is c_{qP}(t),
+    the gamma-multiple stratum c_q(t), and the two add up exactly."""
+    ts = np.arange(-60, 61, dtype=np.int64)
+
+    def literal(gammas, qp):
+        return np.cos(2.0 * np.pi * (np.outer(ts, gammas) % qp) / qp).sum(axis=1)
+
+    for q in range(1, 25):
+        qp = q * level
+        gammas = np.array([g for g in range(qp) if gcd(g, q) == 1], dtype=np.int64)
+        whole = coprime_residue_sum(q, level, ts)
+        assert whole.dtype == np.int64
+        assert np.abs(literal(gammas, qp) - whole).max() <= 1e-12, q
+        if level == 1 or q % level == 0:
+            continue
+        coprime = ramanujan_sum(qp, ts)
+        multiple = ramanujan_sum(q, ts)
+        assert np.abs(literal(gammas[gammas % level != 0], qp) - coprime).max() <= 1e-12
+        assert np.abs(literal(gammas[gammas % level == 0], qp) - multiple).max() <= 1e-12
+        assert np.array_equal(coprime + multiple, whole), q
 
 
 def test_kloosterman_collapse_examples():
