@@ -130,7 +130,7 @@ def factorize(n: int) -> Factorization:
     m = strip(n, 2)
     m = strip(m, 3)
     d = 5
-    while d * d <= m and d < 1_000_000:
+    while d * d <= m and d < 1 << 10:
         m = strip(m, d)
         m = strip(m, d + 2)
         d += 6

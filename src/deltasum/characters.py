@@ -2,10 +2,12 @@
 
 A CharacterGroup fixes the generator convention once and for all (least
 primitive root for odd prime powers, the pair -1 and 5 for 2^k with k >= 3),
-so enumeration order and value tables are identical across runs. Character
-values are stored as exact exponents k with chi(n) = e(k/ord); complex
-numbers are materialized only at evaluation, which keeps multiplicativity
-checks exact.
+so enumeration order and value tables are identical across runs. The group
+holds one int64 table of discrete logs over the residues mod M (one column
+per cyclic factor, -1 on the non-units), built from generator powers.
+Character values are exact exponents k with chi(n) = e(k/ord), read from that
+table for whole arrays of n at once; complex numbers are materialized only at
+evaluation, which keeps multiplicativity checks exact.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
 from math import gcd
+
+import numpy as np
 
 from .arith import divisors, factorize, phi
 
@@ -49,16 +53,33 @@ def _least_primitive_root(q: int, p: int) -> int:
         g += 1
 
 
+def _component_table(q: int, gens: list[tuple[int, int]]) -> np.ndarray:
+    """Discrete logs mod q on the given generators: row v holds the
+    exponents t with v = prod g_i^t_i (mod q), -1 where v is not a unit."""
+    residues = np.ones(1, dtype=np.int64)
+    exps = np.zeros((1, 0), dtype=np.int64)
+    for g, s in gens:
+        powers = np.array([pow(g, t, q) for t in range(s)], dtype=np.int64)
+        residues = (residues[:, None] * powers[None, :] % q).ravel()
+        exps = np.hstack(
+            [np.repeat(exps, s, axis=0), np.tile(np.arange(s), len(exps))[:, None]]
+        )
+    table = np.full((q, len(gens)), -1, dtype=np.int64)
+    table[residues] = exps
+    return table
+
+
 class CharacterGroup:
-    """Unit group structure mod M: cyclic factors, generators, log tables."""
+    """Unit group structure mod M: cyclic factors, generators, log table."""
 
     def __init__(self, modulus: int):
         if modulus < 1:
             raise ValueError("modulus must be positive")
         self.modulus = modulus
         self.factorization = factorize(modulus)
-        # Each entry: (prime power q, list of (generator, cyclic order)).
-        self._components: list[tuple[int, list[tuple[int, int]]]] = []
+        residues = np.arange(modulus, dtype=np.int64)
+        columns = [np.zeros((modulus, 0), dtype=np.int64)]
+        orders: list[int] = []
         for p, e in self.factorization.factors:
             q = p**e
             if p == 2:
@@ -70,37 +91,29 @@ class CharacterGroup:
                     gens = [(q - 1, 2), (5, q // 4)]
             else:
                 gens = [(_least_primitive_root(q, p), phi(q))]
-            self._components.append((q, gens))
-        self.orders = tuple(s for _, gens in self._components for _, s in gens)
+            columns.append(_component_table(q, gens)[residues % q])
+            orders.extend(s for _, s in gens)
+        self.orders = tuple(orders)
         self.order = math.lcm(*self.orders) if self.orders else 1
-        # Discrete-log table per prime power: residue -> exponent tuple.
-        self._logs: list[dict[int, tuple[int, ...]]] = []
-        for q, gens in self._components:
-            table: dict[int, tuple[int, ...]] = {}
-            ranges = [range(s) for _, s in gens]
-            for exps in product(*ranges):
-                v = 1
-                for (g, _), t in zip(gens, exps):
-                    v = v * pow(g, t, q) % q
-                table[v] = exps
-            self._logs.append(table)
-        self._roots = _root_table(self.order)
-
-    def component_logs(self, n: int) -> tuple[int, ...] | None:
-        """Flattened discrete logs of n across all cyclic factors."""
-        if gcd(n, self.modulus) != 1:
-            return None
-        out: list[int] = []
-        for (q, _), table in zip(self._components, self._logs):
-            out.extend(table[n % q])
-        return tuple(out)
+        self.units = np.gcd(residues, modulus) == 1
+        # logs[n] = discrete logs of n on every generator, -1 off the units
+        self.logs = np.hstack(columns)
+        self.logs[~self.units] = -1
+        self.roots = np.array(_root_table(self.order))
+        # logs of the units n = 1 (mod d), one block per proper divisor d of
+        # M, stacked; n = 1 is in every block, so none is empty
+        self._kernel_divisors = divisors(self.factorization)[:-1]
+        blocks = [
+            self.logs[self.units & (residues % d == 1 % d)]
+            for d in self._kernel_divisors
+        ]
+        self._kernel_starts = np.cumsum([0] + [len(b) for b in blocks[:-1]])
+        self._kernel_logs = np.vstack([self.logs[:0], *blocks])
 
     def characters(self) -> list[DirichletCharacter]:
         """All phi(M) characters, in the fixed lexicographic index order."""
-        chars = []
-        for index in product(*(range(s) for s in self.orders)):
-            chars.append(DirichletCharacter(group=self, index=index))
-        return chars
+        indices = product(*(range(s) for s in self.orders))
+        return [DirichletCharacter(group=self, index=index) for index in indices]
 
 
 @dataclass(frozen=True)
@@ -108,7 +121,7 @@ class DirichletCharacter:
     """A character mod M, indexed by its exponents on the fixed generators.
 
     chi(g_i) = e(index_i / order_i); values on arbitrary residues follow by
-    complete multiplicativity through the discrete-log tables.
+    complete multiplicativity through the group's log table.
     """
 
     group: CharacterGroup
@@ -116,8 +129,12 @@ class DirichletCharacter:
     conductor: int = field(init=False)
     is_primitive: bool = field(init=False)
     is_principal: bool = field(init=False)
+    _weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        e = self.group.order
+        weights = [j * (e // s) for j, s in zip(self.index, self.group.orders)]
+        object.__setattr__(self, "_weights", np.array(weights, dtype=np.int64))
         object.__setattr__(self, "is_principal", not any(self.index))
         object.__setattr__(self, "conductor", self._conductor())
         object.__setattr__(
@@ -133,28 +150,29 @@ class DirichletCharacter:
         """Common root-of-unity order: chi(n) = e(exponent(n) / this)."""
         return self.group.order
 
+    def exponents(self, ns) -> np.ndarray:
+        """k with chi(n) = e(k/order) for each integer n, -1 where
+        gcd(n, M) > 1."""
+        g = self.group
+        res = np.asarray(ns, dtype=np.int64) % g.modulus
+        return np.where(g.units[res], g.logs[res] @ self._weights % g.order, -1)
+
+    def values(self, ns) -> np.ndarray:
+        """chi(n) for each integer n as complex128, 0 where gcd(n, M) > 1."""
+        k = self.exponents(ns)
+        return np.where(k >= 0, self.group.roots[k], 0)
+
     def exponent(self, n: int) -> int | None:
         """k with chi(n) = e(k/order), or None when gcd(n, M) > 1."""
-        logs = self.group.component_logs(n)
-        if logs is None:
-            return None
-        e = self.group.order
-        acc = 0
-        for j, t, s in zip(self.index, logs, self.group.orders):
-            acc = (acc + j * t * (e // s)) % e
-        return acc
+        k = int(self.exponents(n % self.modulus))
+        return None if k < 0 else k
 
     def __call__(self, n: int) -> complex:
-        k = self.exponent(n)
-        if k is None:
-            return 0j
-        return self.group._roots[k]
+        return complex(self.values(n % self.modulus))
 
     def conjugate(self) -> DirichletCharacter:
         """The complex-conjugate character (indices negated)."""
-        index = tuple(
-            (-j) % s for j, s in zip(self.index, self.group.orders)
-        )
+        index = tuple((-j) % s for j, s in zip(self.index, self.group.orders))
         return DirichletCharacter(group=self.group, index=index)
 
     def _conductor(self) -> int:
@@ -163,31 +181,20 @@ class DirichletCharacter:
         Direct test: chi is trivial on every n = 1 (mod d) coprime to M.
         Deliberately formula-free so it can serve as the phi* oracle.
         """
-        m = self.group.modulus
-        for d in divisors(self.group.factorization):
-            if d == m:
-                return m
-            ok = True
-            for n in range(1 + d, m, d):
-                if gcd(n, m) == 1 and self.exponent(n) != 0:
-                    ok = False
-                    break
-            if ok:
-                return d
-        return m
+        g = self.group
+        if not g._kernel_divisors:
+            return self.modulus
+        moved = g._kernel_logs @ self._weights % g.order != 0
+        trivial = np.flatnonzero(~np.logical_or.reduceat(moved, g._kernel_starts))
+        return g._kernel_divisors[trivial[0]] if trivial.size else self.modulus
 
     def value_rows(self) -> list[tuple[int, int, int]]:
         """(residue, exponent numerator, exponent denominator) rows, coprime
         residues only, for the CSV dump."""
+        exps = self.exponents(np.arange(self.modulus))
+        units = np.flatnonzero(exps >= 0)
         e = self.group.order
-        rows = []
-        for n in range(self.modulus):
-            k = self.exponent(n)
-            if k is not None:
-                rows.append((n, k, e))
-        if self.modulus == 1:
-            rows = [(0, 0, 1)]
-        return rows
+        return [(n, k, e) for n, k in zip(units.tolist(), exps[units].tolist())]
 
 
 @lru_cache(maxsize=64)
@@ -202,19 +209,10 @@ def enumerate_characters(modulus: int) -> list[DirichletCharacter]:
 
 def gauss_sum(chi: DirichletCharacter) -> complex:
     """tau(chi) = sum_b chi(b) e(b/M), via exactly rounded summation."""
-    m = chi.modulus
-    if m == 1:
-        return 1 + 0j
-    roots_m = _root_table(m)
-    re_terms: list[float] = []
-    im_terms: list[float] = []
-    for b in range(1, m):
-        k = chi.exponent(b)
-        if k is None:
-            continue
-        z = chi.group._roots[k] * roots_m[b]
-        re_terms.append(z.real)
-        im_terms.append(z.imag)
+    vals = chi.values(np.arange(chi.modulus))
+    adds = np.array(_root_table(chi.modulus))
+    re_terms = vals.real * adds.real - vals.imag * adds.imag
+    im_terms = vals.real * adds.imag + vals.imag * adds.real
     return complex(math.fsum(re_terms), math.fsum(im_terms))
 
 
@@ -227,12 +225,10 @@ def orthogonality_sum(modulus: int, n: int, m: int) -> int:
     if gcd(n, modulus) != 1 or gcd(m, modulus) != 1:
         raise NotCoprime(f"{n}*{m} shares a factor with {modulus}")
     group = _group(modulus)
-    e = group.order
-    re_terms = []
-    for chi in group.characters():
-        k = (chi.exponent(n) - chi.exponent(m)) % e
-        re_terms.append(group._roots[k].real)
-    total = math.fsum(re_terms)
+    weights = np.array([chi._weights for chi in group.characters()])
+    diff = group.logs[n % modulus] - group.logs[m % modulus]
+    k = diff @ weights.reshape(-1, len(group.orders)).T % group.order
+    total = math.fsum(group.roots[k].real)
     nearest = round(total)
     if abs(total - nearest) > 1e-6:
         raise ArithmeticError(f"character sum not near-integer: {total}")

@@ -23,6 +23,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
+import numpy as np
+
 from .arith import divisors, is_prime, tau
 
 __all__ = [
@@ -245,10 +247,9 @@ def twist(f: Newform, chi, bound: int) -> TwistedCoefficients:
         raise InsufficientCoefficients(
             f"twist bound {bound} beyond stored coefficients {f.bound}"
         )
-    vals = [0j] * (bound + 1)
-    for n in range(1, bound + 1):
-        vals[n] = chi(n) * f.lam(n)
-    return TwistedCoefficients(f, chi, tuple(vals))
+    ns = np.arange(1, bound + 1)
+    lam = np.array([f.lam(n) for n in ns.tolist()])
+    return TwistedCoefficients(f, chi, (0j, *(chi.values(ns) * lam).tolist()))
 
 
 def _validate(form: Newform, check_bound: int = 2000) -> None:

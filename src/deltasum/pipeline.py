@@ -19,7 +19,7 @@ import numpy as np
 
 from .arith import inverse_mod, is_squarefree
 from .characters import enumerate_characters
-from .expsums import coprime_residue_sum, kloosterman, ramanujan_sum
+from .expsums import coprime_residue_sum, cusp_pair_sum, principal_cusp_sum, ramanujan_sum
 from .kernels import (
     DeltaScheme,
     ProductBump,
@@ -335,20 +335,20 @@ def kloosterman_collapse(
         modulus = q * level
         pairs = [(g, inverse_mod(g, modulus)) for g in range(modulus) if gcd(g, modulus) == 1]
         direct = _phase_sum(pairs, rm, m - n, modulus)
-        closed = kloosterman(rm, m - n, modulus).value
+        closed = principal_cusp_sum(r, m_shift, m, n, level, q)
     elif stratum == Stratum.GAMMA:
         modulus = q
         p_inv = inverse_mod(level, q)
         pairs = [(g, inverse_mod(g, q) * p_inv) for g in range(q) if gcd(g, q) == 1]
         direct = _phase_sum(pairs, rm, m - n, modulus)
-        closed = kloosterman(rm, (m - n) * p_inv, q).value
+        closed = cusp_pair_sum(r, m_shift, m, n, level, q)
     elif stratum == Stratum.MODULUS:
         modulus = q * level * level
         pairs = [
             (g, inverse_mod(g, modulus)) for g in range(modulus) if gcd(g, modulus) == 1
         ]
         direct = _phase_sum(pairs, rm, m - n, modulus)
-        closed = kloosterman(rm, m - n, modulus).value
+        closed = principal_cusp_sum(r, m_shift, m, n, level, q * level)
     else:
         raise ValueError(f"unknown stratum {stratum}")
     return direct, closed
@@ -527,7 +527,7 @@ def _lam_window(f: Newform, x_scale: float, h: SmoothBump) -> tuple[np.ndarray, 
     if hi > f.bound:
         raise InsufficientCoefficients(f"need a({hi}) of {f.form_id}")
     ns = np.arange(max(1, lo), hi + 1)
-    vals = np.array([f.lam(int(n)) / math.sqrt(n) * h(n / x_scale) for n in ns])
+    vals = np.array([f.lam(n) / math.sqrt(n) * h(n / x_scale) for n in ns.tolist()])
     return ns, vals
 
 
@@ -548,14 +548,8 @@ def second_moment(f: Newform, modulus: int, x_scale: float, h: SmoothBump) -> fl
         raise ValueError(f"no primitive characters mod {modulus}")
     moments = []
     for chi in chars:
-        re = []
-        im = []
-        for n, v in zip(ns, vals):
-            z = chi(int(n))
-            if z:
-                re.append(v * z.real)
-                im.append(v * z.imag)
-        moments.append(math.fsum(re) ** 2 + math.fsum(im) ** 2)
+        z = chi.values(ns)
+        moments.append(math.fsum(vals * z.real) ** 2 + math.fsum(vals * z.imag) ** 2)
     return math.fsum(moments) / len(chars)
 
 
@@ -563,18 +557,14 @@ def residue_class_average(
     f: Newform, modulus: int, x_scale: float, h: SmoothBump
 ) -> tuple[np.ndarray, complex]:
     """T_b = sum_n lam(n) n^-1/2 e(n b / M) h(n/X) for all residues b, and
-    the additive-orthogonality aggregate sum_b |T_b|^2."""
+    the additive-orthogonality aggregate sum_b |T_b|^2.
+
+    With the window folded into its residue classes, V_c = sum_{n = c} of
+    the terms, T_b = sum_c V_c e(c b / M) = M ifft(V)[b]."""
     ns, vals = _lam_window(f, x_scale, h)
-    t_b = np.zeros(modulus, dtype=complex)
-    for b in range(modulus):
-        re = []
-        im = []
-        for n, v in zip(ns, vals):
-            z = cmath.exp(2j * cmath.pi * ((int(n) * b) % modulus) / modulus)
-            re.append(v * z.real)
-            im.append(v * z.imag)
-        t_b[b] = complex(math.fsum(re), math.fsum(im))
-    aggregate = math.fsum(abs(t) ** 2 for t in t_b)
+    folded = np.bincount(ns % modulus, weights=vals, minlength=modulus)
+    t_b = modulus * np.fft.ifft(folded)
+    aggregate = math.fsum(np.abs(t_b) ** 2)
     return t_b, aggregate
 
 
@@ -588,24 +578,23 @@ def gauss_square_opening(
     _check_moment_args(f, modulus)
     lhs = second_moment(f, modulus, x_scale, h)
     t_b, _ = residue_class_average(f, modulus, x_scale, h)
+    residues = np.arange(modulus)
     chars = [c for c in enumerate_characters(modulus) if c.is_primitive]
-    pieces = []
-    for chi in chars:
-        acc = 0j
-        for b in range(modulus):
-            z = chi(b)
-            if z:
-                acc += z.conjugate() * t_b[b]
-        pieces.append(abs(acc) ** 2)
+    pieces = [abs(np.vdot(chi.values(residues), t_b)) ** 2 for chi in chars]
     rhs = math.fsum(pieces) / (modulus * len(chars))
     return lhs, rhs
 
 
 @dataclass(frozen=True)
 class DiagonalSplit:
+    """diagonal = sum v_n^2 and off_diagonal = sum over 0 < |r| <= r_bound
+    of sum_n v_n v_{n + r M}, with v_n = lam(n) n^-1/2 h(n/X); lag_sums[r-1]
+    is the sum for shift r (shift -r has the same products)."""
+
     diagonal: float
     off_diagonal: float
     r_bound: int
+    lag_sums: tuple[float, ...]
 
 
 def diagonal_split(
@@ -614,20 +603,18 @@ def diagonal_split(
     """Split the congruence sum sum_{m = n mod M} into the diagonal m = n
     and the off-diagonal shifts m = n + r M, 0 < |r| <= ceil(5X/(2M))."""
     _check_moment_args(f, modulus)
-    ns, vals = _lam_window(f, x_scale, h)
-    diagonal = math.fsum(v * v for v in vals)
+    _, vals = _lam_window(f, x_scale, h)
     r_bound = int(math.ceil(5.0 * x_scale / (2.0 * modulus)))
-    index = {int(n): v for n, v in zip(ns, vals)}
-    off_terms = []
-    for r in range(-r_bound, r_bound + 1):
-        if r == 0:
-            continue
-        shift = r * modulus
-        for n, v in zip(ns, vals):
-            w = index.get(int(n) + shift)
-            if w is not None:
-                off_terms.append(v * w)
-    return DiagonalSplit(diagonal, math.fsum(off_terms), r_bound)
+    lags = [vals[: -r * modulus] * vals[r * modulus :] for r in range(1, r_bound + 1)]
+    # every product appears for r and for -r: doubling the exactly rounded
+    # sum of one copy is exact
+    off_diagonal = 2.0 * math.fsum(np.concatenate([vals[:0], *lags]))
+    return DiagonalSplit(
+        math.fsum(vals * vals),
+        off_diagonal,
+        r_bound,
+        tuple(math.fsum(lag) for lag in lags),
+    )
 
 
 # ---------------------------------------------------------------------------

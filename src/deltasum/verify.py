@@ -174,9 +174,10 @@ def check_character_enumeration() -> CheckResult:
                 f"principal count at M={m}",
             )
         for c1, c2 in zip(chars, again):
-            if c1.index != c2.index or [c1.exponent(n) for n in range(m)] != [
-                c2.exponent(n) for n in range(m)
-            ]:
+            residues = np.arange(m)
+            if c1.index != c2.index or not np.array_equal(
+                c1.exponents(residues), c2.exponents(residues)
+            ):
                 return CheckResult(
                     "characters.enumeration", "character counts and stability", FAIL,
                     f"unstable tables at M={m}",
@@ -218,11 +219,10 @@ def check_gauss_twist_identity() -> CheckResult:
             if not chi.is_primitive:
                 continue
             bar = characters.gauss_sum(chi.conjugate())
+            conj = chi.values(np.arange(m)).conjugate().tolist()
             for _ in range(4):
                 n = rng.randrange(0, 3 * m)
-                direct = sum(
-                    chi(b).conjugate() * roots_m[n * b % m] for b in range(m)
-                )
+                direct = sum(conj[b] * roots_m[n * b % m] for b in range(m))
                 lhs = chi(n) * bar
                 worst = max(worst, abs(lhs - direct))
     ok = worst <= 1e-9
@@ -565,36 +565,50 @@ def check_delta_plain() -> CheckResult:
 
 
 def check_delta_lowered() -> CheckResult:
+    name = "kernels.delta-lowered"
+    label = "conductor-lowered decomposition and congruence average"
     worst_nonmult = 0.0
     worst_mult = 0.0
     worst_b = 0.0
     worst_zero = 0.0
+    cqs = []
     for level in (2, 3, 5, 11):
-        scheme = kernels.calibrate(
-            kernels.DeltaScheme(10.0, level, pipeline.default_delta_bump())
-        )
-        worst_zero = max(worst_zero, abs(kernels.delta_decompose_lowered(0, scheme) - 1.0))
         for n in range(1, 101):
-            v = kernels.delta_decompose_lowered(n, scheme)
-            if v != kernels.delta_decompose_lowered(-n, scheme):
-                return CheckResult(
-                    "kernels.delta-lowered",
-                    "conductor-lowered decomposition and congruence average",
-                    FAIL,
-                    f"evenness broken at n={n}, P={level}",
-                )
             if n % level:
-                worst_nonmult = max(worst_nonmult, abs(v))
                 worst_b = max(worst_b, abs(kernels.congruence_average(n, level)))
-            else:
-                worst_mult = max(worst_mult, abs(v))
+        for q_scale in (6.0, 10.0, 25.0):
+            for s in _BUMP_SHARPNESS:
+                scheme = kernels.calibrate(
+                    kernels.DeltaScheme(q_scale, level, pipeline.default_delta_bump(s))
+                )
+                cqs.append(scheme.c_q)
+                if not 0.9 <= scheme.c_q <= 1.1:
+                    return CheckResult(
+                        name, label, FAIL,
+                        f"c_Q={scheme.c_q} outside [0.9,1.1] at Q={q_scale}, P={level}",
+                    )
+                anchor = kernels.delta_decompose_lowered(0, scheme)
+                worst_zero = max(worst_zero, abs(anchor - 1.0))
+                for n in range(1, 101):
+                    v = kernels.delta_decompose_lowered(n, scheme)
+                    if v != kernels.delta_decompose_lowered(-n, scheme):
+                        return CheckResult(
+                            name, label, FAIL,
+                            f"evenness broken at n={n}, Q={q_scale}, s={s}, P={level}",
+                        )
+                    if n % level:
+                        worst_nonmult = max(worst_nonmult, abs(v))
+                    else:
+                        worst_mult = max(worst_mult, abs(v))
     ok = worst_nonmult <= 1e-8 and worst_mult <= 1e-8 and worst_b <= 1e-12 and worst_zero <= 1e-8
     return CheckResult(
-        "kernels.delta-lowered",
-        "conductor-lowered decomposition and congruence average",
+        name,
+        label,
         PASS if ok else FAIL,
         f"worst off-multiple {_fmt(worst_nonmult)}, worst multiple {_fmt(worst_mult)}, "
-        f"worst congruence average {_fmt(worst_b)}, anchor error {_fmt(worst_zero)}",
+        f"worst congruence average {_fmt(worst_b)}, anchor error {_fmt(worst_zero)}; "
+        f"Q in {{6, 10, 25}}, sharpness in {{0.25, 0.5, 1}}, P in {{2, 3, 5, 11}}, "
+        f"c_Q range [{_fmt(min(cqs))}, {_fmt(max(cqs))}]",
     )
 
 
@@ -863,26 +877,50 @@ def check_voronoi_ramified() -> CheckResult:
     )
 
 
+def _moment_by_classes(f, modulus: int, x_scale: float, h) -> float:
+    """The primitive second moment from congruence classes alone.
+
+    For (ab, M) = 1, sum* chi(a) conj(chi(b)) = sum_{d | (M, a - b)} phi(d)
+    mu(M/d) (Iwaniec-Kowalski, ch. 3), so phi*(M) times the moment is
+    sum_{d | M} phi(d) mu(M/d) sum_{c mod d} (sum_{a = c (d), (a, M) = 1}
+    A_a)^2; no character value enters.
+    """
+    ns, vals = pipeline._lam_window(f, x_scale, h)
+    coprime = np.gcd(ns, modulus) == 1
+    ns, vals = ns[coprime], vals[coprime]
+    terms = []
+    for d in arith.divisors(modulus):
+        weight = arith.phi(d) * arith.mobius(modulus // d)
+        if weight:
+            classes = np.bincount(ns % d, weights=vals, minlength=d)
+            terms.append(weight * math.fsum(classes * classes))
+    return math.fsum(terms) / arith.phi_star(modulus)
+
+
 def check_moment_identities() -> CheckResult:
     h = _moment_window()
     f = modforms.builtin_form("Delta_1_12")
     worst_open = 0.0
+    worst_classes = 0.0
     for modulus in (3, 5, 15, 21):
         lhs, rhs = pipeline.gauss_square_opening(f, modulus, 30.0, h)
         worst_open = max(worst_open, abs(lhs - rhs) / max(abs(lhs), 1e-12))
+        classes = _moment_by_classes(f, modulus, 30.0, h)
+        worst_classes = max(worst_classes, abs(lhs - classes) / max(abs(lhs), 1e-12))
     split = pipeline.diagonal_split(f, 3, 30.0, h)
     _, aggregate = pipeline.residue_class_average(f, 3, 30.0, h)
     recon = 3 * (split.diagonal + split.off_diagonal)
     worst_recon = abs(aggregate - recon) / max(abs(aggregate), 1e-10)
     empty = pipeline.diagonal_split(f, 31, 9.0, h)
     diag_ok = split.diagonal >= 0.0 and empty.off_diagonal == 0.0
-    ok = worst_open <= 1e-8 and worst_recon <= 1e-8 and diag_ok
+    ok = worst_open <= 1e-8 and worst_recon <= 1e-8 and worst_classes <= 1e-12 and diag_ok
     return CheckResult(
         "pipeline.moment-identities",
-        "Gauss-sum opening and diagonal split reconstruction",
+        "Gauss-sum opening, congruence-class form and diagonal split reconstruction",
         PASS if ok else FAIL,
         f"worst opening residual {_fmt(worst_open)}, reconstruction residual "
-        f"{_fmt(worst_recon)}",
+        f"{_fmt(worst_recon)}, worst class-form residual {_fmt(worst_classes)} "
+        f"({_fmt(worst_classes / 1e-12)} of tolerance 1e-12)",
     )
 
 
@@ -943,6 +981,17 @@ def check_bound_monotonicity() -> CheckResult:
     )
 
 
+def _shift_strength(f, modulus, x_scale, h) -> float:
+    """sum over 0 < |r| <= r_bound of |sum_n v_n v_{n + r M}|."""
+    total = 0.0
+    for s in pipeline.diagonal_split(f, modulus, x_scale, h).lag_sums:
+        # shifts r and -r have the same sum; adding it twice rather than
+        # doubling it keeps the row byte-identical
+        total += abs(s)
+        total += abs(s)
+    return total
+
+
 def check_moment_slope() -> CheckResult:
     h = _moment_window()
     slopes = []
@@ -958,7 +1007,7 @@ def check_moment_slope() -> CheckResult:
                 np.linspace(math.log(conductor**0.45), math.log(conductor**0.55), 9)
             )
             proxy = float(
-                np.mean([_per_shift_strength(f, modulus, float(x), h) for x in grid])
+                np.mean([_shift_strength(f, modulus, float(x), h) for x in grid])
             )
             if proxy > 0:
                 xs.append(math.log(modulus))
@@ -976,23 +1025,6 @@ def check_moment_slope() -> CheckResult:
         MONITOR,
         "; ".join(rows),
     )
-
-
-def _per_shift_strength(f, modulus, x_scale, h) -> float:
-    lo = int(math.floor(h.lo * x_scale)) + 1
-    hi = int(math.ceil(h.hi * x_scale)) - 1
-    vals = {
-        n: f.lam(n) / math.sqrt(n) * h(n / x_scale) for n in range(max(1, lo), hi + 1)
-    }
-    r_bound = int(math.ceil(5.0 * x_scale / (2.0 * modulus)))
-    total = 0.0
-    for r in range(1, r_bound + 1):
-        for sgn in (1, -1):
-            s = math.fsum(
-                v * vals.get(n + sgn * r * modulus, 0.0) for n, v in vals.items()
-            )
-            total += abs(s)
-    return total
 
 
 def check_shifted_ratio() -> CheckResult:

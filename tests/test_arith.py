@@ -107,3 +107,23 @@ def test_table_matches_point_functions():
         assert table.phi[n] == arith.phi(n)
         assert table.tau[n] == arith.tau(n)
         assert table.phi_star[n] == arith.phi_star(n)
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [
+        ((1031, 2),),
+        ((1031, 3),),
+        ((1031, 1), (1033, 1)),
+        ((999983, 2),),
+        ((999983, 1), (1000003, 1)),
+        ((2**31 - 1, 2),),
+    ],
+)
+def test_factorize_rho_path(factors):
+    # every prime factor lies above the trial-division cap, so Pollard-Brent
+    # does all the splitting, perfect powers included
+    n = math.prod(p**e for p, e in factors)
+    fac = arith.factorize(n)
+    fac.validate()
+    assert fac.factors == factors

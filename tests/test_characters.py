@@ -1,7 +1,9 @@
 import cmath
+import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from deltasum import arith, characters
@@ -139,3 +141,52 @@ def test_value_rows_shape():
     rows = chi.value_rows()
     assert [r[0] for r in rows] == [1, 2, 3, 4]
     assert all(r[2] == chi.order_denominator for r in rows)
+
+
+def _reference_logs(modulus):
+    """Discrete logs per prime power as a dict filled from products of
+    generator powers (the generator convention of CharacterGroup)."""
+    components = []
+    for p, e in arith.factorize(modulus).factors:
+        q = p**e
+        if p == 2:
+            gens = [] if e == 1 else [(3, 2)] if e == 2 else [(q - 1, 2), (5, q // 4)]
+        else:
+            order = arith.phi(q)
+            g = next(
+                g
+                for g in range(2, q)
+                if len({pow(g, t, q) for t in range(order)}) == order
+            )
+            gens = [(g, order)]
+        table = {}
+        for exps in itertools.product(*(range(s) for _, s in gens)):
+            table[math.prod(pow(g, t, q) for (g, _), t in zip(gens, exps)) % q] = exps
+        components.append((q, table))
+
+    def logs(n):
+        if math.gcd(n, modulus) != 1:
+            return None
+        return sum((table[n % q] for q, table in components), ())
+
+    return logs
+
+
+@pytest.mark.parametrize("modulus", [1, 2, 4, 8, 9, 12, 16, 45, 100, 211])
+def test_values_match_calls_and_generator_powers(modulus):
+    group = characters.CharacterGroup(modulus)
+    reference = _reference_logs(modulus)
+    ns = np.arange(-2 * modulus, 2 * modulus)
+    e = group.order
+    for chi in group.characters():
+        values = chi.values(ns)
+        exps = chi.exponents(ns)
+        for n, v, k in zip(ns.tolist(), values.tolist(), exps.tolist()):
+            z = chi(n)
+            assert repr(v) == repr(z)  # bit for bit, signed zeros included
+            logs = reference(n)
+            if logs is None:
+                assert k == -1 and chi.exponent(n) is None and z == 0
+            else:
+                expect = sum(j * t * (e // s) for j, t, s in zip(chi.index, logs, group.orders))
+                assert k == chi.exponent(n) == expect % e

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import math
 import subprocess
@@ -54,6 +55,27 @@ def test_characters_table():
     assert status == 0
     lines = out.strip().splitlines()
     assert len(lines) == 2 + 4 * 4  # four characters, four coprime residues
+
+
+# sha256 of `deltasum characters --M m` as written by the per-residue
+# discrete-log code that the log table replaced
+_CHARACTER_TABLE_SHA256 = {
+    1: "03225c444150338dd135a248de1e71f4ac6e2b30ca1276b065a4112459972c53",
+    2: "28f30b0a6bcc773ab5e4b0935b225426d61826f4d96988fc6e741a97ffb50d1d",
+    12: "64d3a4af9832d4b19ad197dbf7d87e6e701d29b3488c83e0c29d99a84ba4728e",
+    16: "2702245726bf5a9ea51164053c7ac263c7493bf1ac171af82bf1c6854663452f",
+    45: "b4f150e1d42332e4ac65cf9e184a79d50b0b4e1983ce127fbc084f77d61998fd",
+    100: "29f19b8a039fd2a176ad28eda51ae3af1e811ef38c9ff14a5b679bcc2de550ff",
+    211: "d8e44a6df3ca9f6f8a41dc27fe46ae41901ced0eea0c790f1d78bc866149364e",
+}
+
+
+@pytest.mark.parametrize("modulus", sorted(_CHARACTER_TABLE_SHA256))
+def test_characters_table_unchanged(modulus):
+    status, out = _run(["characters", "--M", str(modulus)])
+    assert status == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == _CHARACTER_TABLE_SHA256[modulus]
 
 
 def test_moment_command():

@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 from fractions import Fraction
@@ -6,7 +7,7 @@ from math import gcd
 import numpy as np
 import pytest
 
-from deltasum import modforms, pipeline
+from deltasum import modforms, pipeline, verify
 from deltasum.expsums import coprime_residue_sum, kloosterman, ramanujan_sum
 from deltasum.kernels import SmoothBump, Stratum
 
@@ -292,6 +293,66 @@ def test_diagonal_split_reconstruction(delta_form, moment_window):
                     delta_form.lam(n) * delta_form.lam(m) / math.sqrt(n * m) * hn * hm
                 )
     assert split.diagonal + split.off_diagonal == pytest.approx(direct, rel=1e-10)
+    # diagonal reference loop
+    diagonal = 0.0
+    for n in range(1, 200):
+        hv = moment_window(n / 30.0)
+        if hv:
+            diagonal += delta_form.lam(n) ** 2 / n * hv * hv
+    assert split.diagonal == pytest.approx(diagonal, rel=1e-10)
+
+
+@pytest.mark.parametrize("modulus", [3, 7, 31])
+def test_diagonal_split_lag_sums(level11_form, moment_window, modulus):
+    # one exactly rounded sum per lag, against a dictionary lookup loop
+    x_scale = 40.0
+    split = pipeline.diagonal_split(level11_form, modulus, x_scale, moment_window)
+    vals = {}
+    for n in range(1, 100):
+        hv = moment_window(n / x_scale)
+        if hv:
+            vals[n] = level11_form.lam(n) / math.sqrt(n) * hv
+    expect = []
+    for r in range(1, split.r_bound + 1):
+        for sign in (1, -1):
+            lag = math.fsum(v * vals.get(n + sign * r * modulus, 0.0) for n, v in vals.items())
+            if sign == 1:
+                expect.append(lag)
+            else:
+                assert lag == expect[-1]
+    assert split.lag_sums == tuple(expect)
+    assert split.off_diagonal == pytest.approx(2 * sum(expect), rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("modulus", [1, 3, 7, 13, 31])
+def test_residue_class_average_literal(delta_form, moment_window, modulus):
+    # literal cosine sums T_b = sum_n v_n e(n b / M), one fsum per b
+    t_b, aggregate = pipeline.residue_class_average(delta_form, modulus, 30.0, moment_window)
+    literal = []
+    for b in range(modulus):
+        re = []
+        im = []
+        for n in range(1, 75):
+            v = delta_form.lam(n) / math.sqrt(n) * moment_window(n / 30.0)
+            z = cmath.exp(2j * cmath.pi * ((n * b) % modulus) / modulus)
+            re.append(v * z.real)
+            im.append(v * z.imag)
+        literal.append(complex(math.fsum(re), math.fsum(im)))
+    scale = max(abs(t) for t in literal)
+    assert len(t_b) == modulus
+    for got, want in zip(t_b, literal):
+        assert abs(got - want) <= 1e-12 * scale
+    assert aggregate == pytest.approx(math.fsum(abs(t) ** 2 for t in literal), rel=1e-12)
+
+
+@pytest.mark.parametrize("modulus", [401, 499])
+def test_second_moment_congruence_classes(level11_form, moment_window, modulus):
+    # sum* chi(a) conj(chi(b)) = sum_{d | (M, a - b)} phi(d) mu(M/d) gives the
+    # moment from class sums alone, with no character values
+    x_scale = 300.0
+    value = pipeline.second_moment(level11_form, modulus, x_scale, moment_window)
+    classes = verify._moment_by_classes(level11_form, modulus, x_scale, moment_window)
+    assert abs(value - classes) <= 1e-12 * abs(value)
 
 
 def test_diagonal_split_no_admissible_shift(delta_form, moment_window):
