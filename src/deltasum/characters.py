@@ -100,15 +100,15 @@ class CharacterGroup:
         self.logs = np.hstack(columns)
         self.logs[~self.units] = -1
         self.roots = np.array(_root_table(self.order))
-        # logs of the units n = 1 (mod d), one block per proper divisor d of
-        # M, stacked; n = 1 is in every block, so none is empty
-        self._kernel_divisors = divisors(self.factorization)[:-1]
+        # logs of the units n = 1 (mod d), one block per divisor d of M,
+        # stacked; n = 1 is in every block, so none is empty
+        self._kernel_divisors = divisors(self.factorization)
         blocks = [
             self.logs[self.units & (residues % d == 1 % d)]
             for d in self._kernel_divisors
         ]
         self._kernel_starts = np.cumsum([0] + [len(b) for b in blocks[:-1]])
-        self._kernel_logs = np.vstack([self.logs[:0], *blocks])
+        self._kernel_logs = np.vstack(blocks)
 
     def characters(self) -> list[DirichletCharacter]:
         """All phi(M) characters, in the fixed lexicographic index order."""
@@ -182,11 +182,10 @@ class DirichletCharacter:
         Deliberately formula-free so it can serve as the phi* oracle.
         """
         g = self.group
-        if not g._kernel_divisors:
-            return self.modulus
         moved = g._kernel_logs @ self._weights % g.order != 0
-        trivial = np.flatnonzero(~np.logical_or.reduceat(moved, g._kernel_starts))
-        return g._kernel_divisors[trivial[0]] if trivial.size else self.modulus
+        # the first block on which chi moves nothing; d = M always qualifies
+        first = np.logical_or.reduceat(moved, g._kernel_starts).argmin()
+        return g._kernel_divisors[first]
 
     def value_rows(self) -> list[tuple[int, int, int]]:
         """(residue, exponent numerator, exponent denominator) rows, coprime
