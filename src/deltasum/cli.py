@@ -336,7 +336,7 @@ def _cmd_shifted(p: dict) -> tuple[list[str], list[tuple], int]:
 def _cmd_moment(p: dict) -> tuple[list[str], list[tuple], int]:
     form = modforms.builtin_form(p["form"])
     h = SmoothBump(0.5, 2.5, sharpness=1.0, normalization="peak")
-    sm = pipeline.second_moment(form, p["M"], p["X"], h)
+    # the opening's lhs is the second moment itself
     lhs, rhs = pipeline.gauss_square_opening(form, p["M"], p["X"], h)
     split = pipeline.diagonal_split(form, p["M"], p["X"], h)
     _, aggregate = pipeline.residue_class_average(form, p["M"], p["X"], h)
@@ -360,7 +360,7 @@ def _cmd_moment(p: dict) -> tuple[list[str], list[tuple], int]:
             form.form_id,
             p["M"],
             p["X"],
-            sm,
+            lhs,
             lhs,
             rhs,
             split.diagonal,

@@ -13,6 +13,15 @@ Coefficients are generated on demand from the pentagonal-number expansion
 of prod (1 - q^n), with exact integer arithmetic throughout (Python ints,
 so intermediate growth can never overflow). Normalized eigenvalues
 lambda(n) = a(n) / n^((k-1)/2) leave the integers only at that final step.
+
+Series are multiplied by Kronecker substitution with byte-aligned digits
+(Harvey, J. Symbolic Comput. 2009): each coefficient list becomes one big
+integer whose base-256^w digits are the coefficients, written with
+`int.to_bytes` and read back with `int.from_bytes` after a bias of half a
+digit makes every digit of the product nonnegative. Packing and unpacking
+cost time linear in the number of digits, so one big-integer
+multiplication per product dominates; series inversion (negative eta
+exponents) runs over the sparse nonzero terms of the Euler factor.
 """
 
 from __future__ import annotations
@@ -51,12 +60,28 @@ class InsufficientCoefficients(ValueError):
     """A computation needs coefficients beyond the stored bound."""
 
 
-def _poly_mul_trunc(a: list[int], b: list[int], n_max: int) -> list[int]:
-    """Exact truncated product of integer coefficient lists.
+def _pack(coeffs: list[int], nbytes: int) -> int:
+    """sum coeffs[i] * 256^(nbytes*i): the positive and the negative
+    coefficients are written as two little-endian byte strings of
+    nbytes-wide digits and subtracted, so the cost is linear in the length."""
+    zero = bytes(nbytes)
+    pos = b"".join(x.to_bytes(nbytes, "little") if x > 0 else zero for x in coeffs)
+    neg = b"".join((-x).to_bytes(nbytes, "little") if x < 0 else zero for x in coeffs)
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
-    Kronecker substitution: pack each polynomial into one big integer with
-    digits wide enough that product coefficients never interfere, multiply,
-    and unpack signed digits. Exact for arbitrary integer coefficients.
+
+def _poly_mul_trunc(a: list[int], b: list[int], n_max: int) -> list[int]:
+    """Exact truncated product of integer coefficient lists, degrees 0..n_max.
+
+    Kronecker substitution with byte-aligned digits: every coefficient of
+    the product is below bound = max|a| * max|b| * min(len) in absolute
+    value, so digits of bits >= bound.bit_length() + 2, rounded up to whole
+    bytes, never interfere. Each polynomial is packed into one big integer
+    (`_pack`), the two are multiplied, and a bias of half = 2^(bits-1) is
+    added to each of the n_max + 1 low digits; masked to those digits, the
+    biased product has digits c_i + half in [0, 2^bits), which one
+    `to_bytes` buffer yields slice by slice. Packing and unpacking are
+    linear in the number of digits; the one big multiplication dominates.
     """
     la = min(len(a), n_max + 1)
     lb = min(len(b), n_max + 1)
@@ -65,20 +90,17 @@ def _poly_mul_trunc(a: list[int], b: list[int], n_max: int) -> list[int]:
     if ma == 0 or mb == 0:
         return [0] * (n_max + 1)
     bound = ma * mb * min(la, lb)
-    bits = bound.bit_length() + 2
-    pa = sum(x << (bits * i) for i, x in enumerate(a[:la]))
-    pb = sum(x << (bits * i) for i, x in enumerate(b[:lb]))
-    prod = pa * pb
-    mask = (1 << bits) - 1
+    nbytes = (bound.bit_length() + 2 + 7) // 8
+    bits = 8 * nbytes
     half = 1 << (bits - 1)
-    out = []
-    for _ in range(n_max + 1):
-        d = prod & mask
-        if d >= half:
-            d -= mask + 1
-        out.append(d)
-        prod = (prod - d) >> bits
-    return out
+    n = n_max + 1
+    bias = int.from_bytes((bytes(nbytes - 1) + b"\x80") * n, "little")
+    prod = _pack(a[:la], nbytes) * _pack(b[:lb], nbytes) + bias
+    buf = (prod & ((1 << (bits * n)) - 1)).to_bytes(nbytes * n, "little")
+    return [
+        int.from_bytes(buf[i : i + nbytes], "little") - half
+        for i in range(0, nbytes * n, nbytes)
+    ]
 
 
 def _poly_pow_trunc(a: list[int], k: int, n_max: int) -> list[int]:
@@ -94,15 +116,21 @@ def _poly_pow_trunc(a: list[int], k: int, n_max: int) -> list[int]:
 
 
 def _poly_inv_trunc(a: list[int], n_max: int) -> list[int]:
-    """Inverse of a unit power series with a[0] = +-1, exact integers."""
+    """Inverse of a unit power series with a[0] = +-1, exact integers.
+
+    The recurrence runs over the nonzero terms of a only: an Euler factor
+    has O(sqrt(n_max)) of them (the pentagonal numbers)."""
     lead = a[0]
     if lead not in (1, -1):
         raise ValueError("series inversion requires leading coefficient +-1")
+    terms = [(j, a[j]) for j in range(1, min(len(a) - 1, n_max) + 1) if a[j]]
     out = [lead]
     for n in range(1, n_max + 1):
         acc = 0
-        for j in range(1, min(n, len(a) - 1) + 1):
-            acc += a[j] * out[n - j]
+        for j, aj in terms:
+            if j > n:
+                break
+            acc += aj * out[n - j]
         out.append(-lead * acc)
     return out
 
@@ -134,8 +162,8 @@ def eta_product_series(
     lead = sum(e*t)/24 must be a positive integer (rejected otherwise);
     a(n) is the coefficient of q^(n-1) in the product of the Euler factors.
     """
-    if bound < 1 or bound > 100_000:
-        raise ValueError("bound must be in [1, 100000]")
+    if bound < 1 or bound > 250_000:
+        raise ValueError(f"bound {bound} must be in [1, 250000]")
     lead = Fraction(sum(e * t for t, e in exponent_pairs), 24)
     if lead.denominator != 1 or lead <= 0:
         raise ValueError(f"leading q-power {lead} is not a positive integer")

@@ -91,6 +91,23 @@ def test_moment_command():
     )
 
 
+# sha256 of `deltasum moment` as written when the second_moment column was
+# evaluated separately from the Gauss opening's lhs
+_MOMENT_SHA256 = {
+    ("E2_11_2", 5, 20): "bffc5e03cca484e8b3c4c3354a628f050ee5e894881aab18c342c1fc36a51b49",
+    ("Delta_1_12", 15, 30): "250549c7a310e6f0999755190c85662f1d862ccb4bf96c9c4b3e975713f6d86c",
+    ("Delta_1_12", 211, 700): "95b30ffdf0e468ca37da9d6d8f3528863fce41cfc4b20975a6563a139b3bf196",
+}
+
+
+@pytest.mark.parametrize("form,modulus,x_scale", sorted(_MOMENT_SHA256))
+def test_moment_output_unchanged(form, modulus, x_scale):
+    status, out = _run(["moment", "--form", form, "--M", str(modulus), "--X", str(x_scale)])
+    assert status == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == _MOMENT_SHA256[(form, modulus, x_scale)]
+
+
 def test_config_file_and_override(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# comment line\neta = 1/5\n")

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import random
 from math import gcd
 
 import pytest
@@ -84,6 +86,113 @@ def test_eta_multiplication_order_determinism():
     a = modforms.eta_product_series(((1, 4), (5, 4)), 300)
     b = modforms.eta_product_series(((5, 4), (1, 4)), 300)
     assert a == b
+
+
+def _schoolbook_mul_trunc(a, b, n_max):
+    out = [0] * (n_max + 1)
+    for i, x in enumerate(a[: n_max + 1]):
+        for j, y in enumerate(b[: n_max + 1 - i]):
+            out[i + j] += x * y
+    return out
+
+
+def _dense_inv_trunc(a, n_max):
+    """The O(n_max^2) recurrence, over every j <= n."""
+    lead = a[0]
+    out = [lead]
+    for n in range(1, n_max + 1):
+        acc = 0
+        for j in range(1, min(n, len(a) - 1) + 1):
+            acc += a[j] * out[n - j]
+        out.append(-lead * acc)
+    return out
+
+
+def _width_bits(a, b, n_max):
+    """bound.bit_length() + 2 for the product's coefficient bound: the digit
+    width before it is rounded up to whole bytes."""
+    la, lb = min(len(a), n_max + 1), min(len(b), n_max + 1)
+    ma, mb = max(map(abs, a[:la])), max(map(abs, b[:lb]))
+    return (ma * mb * min(la, lb)).bit_length() + 2
+
+
+def test_poly_mul_trunc_against_schoolbook():
+    rng = random.Random(20240607)
+    for _ in range(300):
+        bits = rng.choice((1, 2, 7, 31, 64, 65, 200))
+        la, lb = rng.randrange(0, 25), rng.randrange(0, 25)
+        a = [rng.randrange(-(2**bits), 2**bits + 1) for _ in range(la)]
+        b = [rng.randrange(-(2**bits), 2**bits + 1) for _ in range(lb)]
+        if a and rng.random() < 0.3:
+            a[rng.randrange(la)] = rng.choice((2**bits, -(2**bits)))
+        n_max = rng.randrange(0, la + lb + 5)
+        assert modforms._poly_mul_trunc(a, b, n_max) == _schoolbook_mul_trunc(a, b, n_max)
+
+
+@pytest.mark.parametrize(
+    "a,b",
+    [
+        ([], [1, 2, 3]),
+        ([1, -1], []),
+        ([0, 0, 0], [5, -7]),
+        ([0] * 4, [0] * 9),
+    ],
+)
+@pytest.mark.parametrize("n_max", [0, 1, 3, 12])
+def test_poly_mul_trunc_zero_inputs(a, b, n_max):
+    assert modforms._poly_mul_trunc(a, b, n_max) == [0] * (n_max + 1)
+
+
+@pytest.mark.parametrize("width", [8, 16, 64])
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_poly_mul_trunc_extreme_digits_at_byte_boundaries(width, offset, sign):
+    # m is chosen so the unrounded digit width lands just below, on and just
+    # above a whole number of bytes; against [1]*k the middle coefficient of
+    # the product reaches the full bound sign*m*k
+    k = 5
+    m = ((1 << (width + offset - 2)) - 1) // k
+    a = [sign * m] * k
+    for b in ([1] * k, [1, -1] * 2 + [1]):
+        for n_max in (2, k - 1, 2 * k - 2, 3 * k):
+            if n_max >= k - 1:
+                assert _width_bits(a, b, n_max) == width + offset
+            expected = _schoolbook_mul_trunc(a, b, n_max)
+            assert modforms._poly_mul_trunc(a, b, n_max) == expected
+    assert modforms._poly_mul_trunc(a, [1] * k, 2 * k)[k - 1] == sign * m * k
+
+
+def test_poly_inv_trunc_sparse_matches_dense():
+    for scale in (1, 11):
+        factor = modforms._euler_series(scale, 2000)
+        assert modforms._poly_inv_trunc(factor, 2000) == _dense_inv_trunc(factor, 2000)
+    short = [1, 3, 0, -2]
+    assert modforms._poly_inv_trunc(short, 30) == _dense_inv_trunc(short, 30)
+
+
+def test_eta_series_bound_range():
+    for bad in (0, 250_001):
+        with pytest.raises(ValueError, match="250000"):
+            modforms.eta_product_series(((1, 24),), bad)
+
+
+# sha256 of ",".join(a(0..5000)) for each built-in form, as built by the
+# shift-and-add packing that the byte-aligned one replaced
+_FORMS_AT_5000_SHA256 = {
+    "Delta_1_12": "0c5b8a7750230f6b0a06379d409eeed7dd42ffd5a62387c2656667d9d3317723",
+    "E8_2_8": "99144c483473e9572d8642f19a17dc32eae29608780935dfee5163416aa07c8c",
+    "E6_3_6": "a730e1748c3aa6afbf763e3cd081d7a7cc8a53d329a35557a38264164dabd88d",
+    "E4_5_4": "7107c75d33a23eca6135653e8229ef3259442af0df01ba0d9edd1648c8a4d659",
+    "E2_11_2": "2fecea9198212a0734cce43631a03f42f829282baad49966010184e877cce82d",
+}
+
+
+@pytest.mark.parametrize("form_id", modforms.BUILTIN_FORM_IDS)
+def test_builtin_coefficients_unchanged(form_id):
+    recipe = modforms._FORM_RECIPES[form_id][2]
+    coeffs = modforms.eta_product_series(recipe, 5000)
+    digest = hashlib.sha256(",".join(map(str, coeffs)).encode()).hexdigest()
+    assert digest == _FORMS_AT_5000_SHA256[form_id]
 
 
 def test_lambda_normalization(all_forms):
