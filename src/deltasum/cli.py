@@ -24,6 +24,8 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable
 
+import numpy as np
+
 from . import modforms, pipeline, verify
 from .characters import enumerate_characters
 from .expsums import kloosterman
@@ -257,7 +259,8 @@ def _cmd_delta(p: dict) -> tuple[list[str], list[tuple], int]:
         DeltaScheme(p["Q"], p["P"], SmoothBump(0.5, 1.0, sharpness=p["sharpness"]))
     )
     evaluate = delta_decompose if p["P"] == 1 else delta_decompose_lowered
-    rows = [(n, evaluate(n, scheme)) for n in range(-p["nmax"], p["nmax"] + 1)]
+    ns = np.arange(-p["nmax"], p["nmax"] + 1)
+    rows = list(zip(ns.tolist(), evaluate(ns, scheme).tolist()))
     return ["n", "value"], rows, 0
 
 

@@ -4,9 +4,12 @@ double integral that appears after dual summation.
 
 Numerical conventions, fixed for reproducibility:
 
-- sums with many terms go through math.fsum (exactly rounded);
-- the decomposition value is the raw sum divided by the raw sum at n = 0,
-  so the n = 0 anchor is exact by construction;
+- the sums over q, over a and over b in the decompositions, and the
+  quadrature panel sums, go through math.fsum (exactly rounded); the short
+  j-sum of the delta weight is added in order, j = 1 first;
+- the decomposition value is the raw sum divided by the raw sum at n = 0;
+  at n = 0 the raw sum has exactly the terms of the calibration sum, so the
+  anchor is exact;
 - adaptive quadrature subdivides depth first, left first, so results do not
   depend on scheduling.
 """
@@ -39,7 +42,6 @@ __all__ = [
     "congruence_average",
     "delta_decompose",
     "delta_decompose_lowered",
-    "delta_weight",
     "delta_weight_array",
     "double_bessel_integral",
     "truncation_ranges",
@@ -421,28 +423,20 @@ def bessel_j(order: int, x: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def delta_weight(x: float, y: float, bump: SmoothBump) -> float:
-    """g(x, y) = sum_{j >= 1} (x j)^-1 (w(x j) - w(|y| / (x j))).
+def delta_weight_array(x: float, ys: np.ndarray, bump: SmoothBump) -> np.ndarray:
+    """g(x, y) = sum_{j >= 1} (x j)^-1 (w(x j) - w(|y| / (x j))) at one
+    x > 0, for every y in ys.
 
     w is the scheme bump supported in [1/2, 1]; the sum is finite because
-    both arguments leave the support once j > max(1, 2|y|)/x. Returns 0
-    whenever x > max(1, 2|y|).
+    both arguments leave the support once j > max(1, 2|y|)/x, and g is 0
+    whenever x > max(1, 2|y|).  The terms past an element's own last j are
+    exactly 0, so each value depends on (x, y) alone, never on the other
+    elements of ys.
+
+    Accuracy contract, tested against mpmath at 30 digits with the bump's
+    own scale, for x in [0.02, 3], |y| <= 3 and sharpness 0.25, 0.5 and 1:
+    x |g - g_exact| <= 1e-14.
     """
-    if x <= 0:
-        raise ValueError("x must be positive")
-    y_abs = abs(y)
-    if x > max(1.0, 2.0 * y_abs):
-        return 0.0
-    j_max = int(math.ceil(max(1.0, 2.0 * y_abs) / x))
-    terms = []
-    for j in range(1, j_max + 1):
-        xj = x * j
-        terms.append((bump(xj) - bump(y_abs / xj)) / xj)
-    return math.fsum(terms)
-
-
-def delta_weight_array(x: float, ys: np.ndarray, bump: SmoothBump) -> np.ndarray:
-    """Vectorized delta_weight over y at fixed x."""
     if x <= 0:
         raise ValueError("x must be positive")
     ys_abs = np.abs(np.asarray(ys, dtype=float))
@@ -494,13 +488,15 @@ class DeltaScheme:
 
 
 def _raw_plain_zero(scheme: DeltaScheme) -> float:
-    """(1/Q^2) sum_q phi(q) g(q/Q, 0); identical code path for calibration
-    and for the n = 0 evaluation, making the anchor exact."""
+    """(1/Q^2) sum_q phi(q) g(q/Q, 0).  The n = 0 value of delta_decompose
+    sums the same terms c_q(0) g(q/Q, 0) = phi(q) g(q/Q, 0) (plus zeros),
+    so the anchor is exact."""
     q_scale = scheme.q_scale
     phi_acc = _phi_cache(int(math.ceil(q_scale)) + 1)
+    zero = np.zeros(1)
     terms = []
     for q in range(1, int(math.ceil(q_scale)) + 1):
-        g = delta_weight(q / q_scale, 0.0, scheme.bump)
+        g = float(delta_weight_array(q / q_scale, zero, scheme.bump)[0])
         if g:
             terms.append(phi_acc[q] * g)
     return math.fsum(terms) / (q_scale * q_scale)
@@ -527,28 +523,36 @@ def calibrate(scheme: DeltaScheme) -> DeltaScheme:
     return replace(scheme, c_q=c_q, raw_zero=raw)
 
 
-def delta_decompose(n: int, scheme: DeltaScheme) -> float:
+def _row_sums(terms: np.ndarray, scale: float, scheme: DeltaScheme, shape: tuple):
+    """The exactly rounded sum of each row of terms (one row per n, one
+    column per q), divided by scale and then by raw_zero: a float for the
+    shape () of a scalar n, else an array of that shape.  A zero term leaves
+    an exactly rounded sum as it is."""
+    out = np.array([math.fsum(row.tolist()) / scale / scheme.raw_zero for row in terms])
+    return float(out[0]) if shape == () else out.reshape(shape)
+
+
+def delta_decompose(n, scheme: DeltaScheme):
     """Plain decomposition of the indicator [n = 0].
 
     (c_Q / Q^2) sum_q c_q(n) g(q/Q, n/Q^2), the a-sum collapsed to the
-    Ramanujan sum. Exactly 1 at n = 0 after calibration; O(1e-12) roundoff
-    otherwise.
+    Ramanujan sum.  n may be an int or an integer numpy array; the result is
+    a float or a float64 array of the same shape, each value the same as the
+    one-element call.  Exactly 1 at n = 0 after calibration; O(1e-12)
+    roundoff otherwise.
     """
     if scheme.level != 1:
         raise ValueError("plain decomposition requires a level-1 scheme")
     if not scheme.is_calibrated:
         raise UncalibratedScheme("call calibrate() first")
-    if n == 0:
-        return _raw_plain_zero(scheme) / scheme.raw_zero
+    ns = np.asarray(n, dtype=np.int64)
+    flat = np.abs(ns.ravel())
     q_scale = scheme.q_scale
-    n_abs = abs(n)
-    y = n_abs / (q_scale * q_scale)
-    terms = []
-    for q in range(1, scheme.q_max(n) + 1):
-        g = delta_weight(q / q_scale, y, scheme.bump)
-        if g:
-            terms.append(ramanujan_sum(q, n_abs) * g)
-    return math.fsum(terms) / (q_scale * q_scale) / scheme.raw_zero
+    ys = flat / (q_scale * q_scale)
+    terms = np.empty((flat.size, scheme.q_max(int(flat.max(initial=0)))))
+    for q in range(1, terms.shape[1] + 1):
+        terms[:, q - 1] = ramanujan_sum(q, flat) * delta_weight_array(q / q_scale, ys, scheme.bump)
+    return _row_sums(terms, q_scale * q_scale, scheme, ns.shape)
 
 
 @lru_cache(maxsize=512)
@@ -561,26 +565,29 @@ def _coprime_residues(q: int) -> tuple[int, ...]:
     return tuple(a for a in range(q) if math.gcd(a, q) == 1)
 
 
+def _b_sum(n: int, level: int) -> complex:
+    """sum_{b mod P} e(n b / P), real and imaginary parts exactly rounded."""
+    roots = _unit_roots(level)
+    return complex(
+        math.fsum(roots[n * b % level].real for b in range(level)),
+        math.fsum(roots[n * b % level].imag for b in range(level)),
+    )
+
+
 def congruence_average(n: int, level: int) -> complex:
     """(1/P) sum_{b mod P} e(n b / P): exactly 1 when P | n, 0 otherwise
     up to roundoff. This is the b-average that enforces the congruence in
     the conductor-lowered scheme."""
-    roots = _unit_roots(level)
-    re = []
-    im = []
-    for b in range(level):
-        z = roots[n * b % level]
-        re.append(z.real)
-        im.append(z.imag)
-    return complex(math.fsum(re), math.fsum(im)) / level
+    return _b_sum(n, level) / level
 
 
-def delta_decompose_lowered(n: int, scheme: DeltaScheme) -> float:
+def delta_decompose_lowered(n, scheme: DeltaScheme):
     """Conductor-lowered decomposition of [n = 0].
 
     (c_Q / (P Q^2)) sum_q sum*_a sum_b e(n (a + b q)/(q P)) g(q/Q, n/(P Q^2)),
     evaluated from the displayed triple sum (a-sum and b-sum taken literally,
-    phases reduced exactly in integer arithmetic).
+    phases reduced exactly in integer arithmetic).  n may be an int or an
+    integer numpy array, as for delta_decompose.
     """
     if scheme.level < 2:
         raise ValueError("conductor-lowered decomposition requires a prime level")
@@ -588,28 +595,25 @@ def delta_decompose_lowered(n: int, scheme: DeltaScheme) -> float:
         raise UncalibratedScheme("call calibrate() first")
     level = scheme.level
     q_scale = scheme.q_scale
-    n_abs = abs(n)  # the displayed sum is even in n (a -> -a bijection)
-    y = n_abs / (level * q_scale * q_scale)
-    re_terms = []
-    im_terms = []
-    roots_p = _unit_roots(level)
-    b_re = math.fsum(roots_p[n_abs * b % level].real for b in range(level))
-    b_im = math.fsum(roots_p[n_abs * b % level].imag for b in range(level))
-    b_sum = complex(b_re, b_im)
-    for q in range(1, scheme.q_max(n) + 1):
-        g = delta_weight(q / q_scale, y, scheme.bump)
-        if not g:
+    # the displayed sum is even in n (a -> -a bijection)
+    ns = np.asarray(n, dtype=np.int64)
+    flat = np.abs(ns.ravel())
+    ys = flat / (level * q_scale * q_scale)
+    b_sums = [_b_sum(m, level) for m in flat.tolist()]
+    terms = np.zeros((flat.size, scheme.q_max(int(flat.max(initial=0)))))
+    for q in range(1, terms.shape[1] + 1):
+        gvals = delta_weight_array(q / q_scale, ys, scheme.bump)
+        live = np.flatnonzero(gvals)
+        if not live.size:
             continue
         qp = q * level
-        roots = _unit_roots(qp)
-        a_re = math.fsum(roots[n_abs * a % qp].real for a in _coprime_residues(q))
-        a_im = math.fsum(roots[n_abs * a % qp].imag for a in _coprime_residues(q))
-        z = complex(a_re, a_im) * b_sum
-        re_terms.append(g * z.real)
-        im_terms.append(g * z.imag)
-    total = complex(math.fsum(re_terms), math.fsum(im_terms))
-    scale = level * q_scale * q_scale
-    return total.real / scale / scheme.raw_zero
+        roots = np.array(_unit_roots(qp))
+        phases = (flat[live] % qp)[:, None] * np.array(_coprime_residues(q)) % qp
+        a_sums = zip(roots.real[phases].tolist(), roots.imag[phases].tolist())
+        for i, g, (a_re, a_im) in zip(live.tolist(), gvals[live].tolist(), a_sums):
+            z = complex(math.fsum(a_re), math.fsum(a_im)) * b_sums[i]
+            terms[i, q - 1] = g * z.real
+    return _row_sums(terms, level * q_scale * q_scale, scheme, ns.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -527,6 +527,12 @@ def check_level_coefficient() -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
+# n in [-100, 100]; the decompositions are checked at n = 1..100 and for
+# evenness against -n
+_DELTA_NS = np.arange(-100, 101)
+_DELTA_N0 = 100  # index of n = 0
+
+
 def check_delta_plain() -> CheckResult:
     worst = 0.0
     cqs = []
@@ -541,19 +547,19 @@ def check_delta_plain() -> CheckResult:
                     "kernels.delta-plain", "plain decomposition detects [n = 0]",
                     FAIL, f"c_Q={scheme.c_q} outside [0.9,1.1] at Q={q_scale}",
                 )
-            if kernels.delta_decompose(0, scheme) != 1.0:
+            values = kernels.delta_decompose(_DELTA_NS, scheme)
+            if values[_DELTA_N0] != 1.0:
                 return CheckResult(
                     "kernels.delta-plain", "plain decomposition detects [n = 0]",
                     FAIL, f"anchor not exact at Q={q_scale}, s={s}",
                 )
-            for n in range(1, 101):
-                v = kernels.delta_decompose(n, scheme)
-                if v != kernels.delta_decompose(-n, scheme):
-                    return CheckResult(
-                        "kernels.delta-plain", "plain decomposition detects [n = 0]",
-                        FAIL, f"evenness broken at n={n}",
-                    )
-                worst = max(worst, abs(v))
+            odd = _DELTA_NS[values != values[::-1]]
+            if odd.size:
+                return CheckResult(
+                    "kernels.delta-plain", "plain decomposition detects [n = 0]",
+                    FAIL, f"evenness broken at n={np.abs(odd).min()}",
+                )
+            worst = max(worst, float(np.abs(values[_DELTA_N0 + 1 :]).max()))
     ok = worst <= 1e-8
     return CheckResult(
         "kernels.delta-plain",
@@ -587,19 +593,18 @@ def check_delta_lowered() -> CheckResult:
                         name, label, FAIL,
                         f"c_Q={scheme.c_q} outside [0.9,1.1] at Q={q_scale}, P={level}",
                     )
-                anchor = kernels.delta_decompose_lowered(0, scheme)
-                worst_zero = max(worst_zero, abs(anchor - 1.0))
-                for n in range(1, 101):
-                    v = kernels.delta_decompose_lowered(n, scheme)
-                    if v != kernels.delta_decompose_lowered(-n, scheme):
-                        return CheckResult(
-                            name, label, FAIL,
-                            f"evenness broken at n={n}, Q={q_scale}, s={s}, P={level}",
-                        )
-                    if n % level:
-                        worst_nonmult = max(worst_nonmult, abs(v))
-                    else:
-                        worst_mult = max(worst_mult, abs(v))
+                values = kernels.delta_decompose_lowered(_DELTA_NS, scheme)
+                worst_zero = max(worst_zero, abs(values[_DELTA_N0] - 1.0))
+                odd = _DELTA_NS[values != values[::-1]]
+                if odd.size:
+                    return CheckResult(
+                        name, label, FAIL,
+                        f"evenness broken at n={np.abs(odd).min()}, Q={q_scale}, s={s}, P={level}",
+                    )
+                positive = np.abs(values[_DELTA_N0 + 1 :])
+                multiple = _DELTA_NS[_DELTA_N0 + 1 :] % level == 0
+                worst_nonmult = max(worst_nonmult, float(positive[~multiple].max()))
+                worst_mult = max(worst_mult, float(positive[multiple].max()))
     ok = worst_nonmult <= 1e-8 and worst_mult <= 1e-8 and worst_b <= 1e-12 and worst_zero <= 1e-8
     return CheckResult(
         name,
@@ -652,15 +657,16 @@ def check_bessel() -> CheckResult:
 def check_delta_weight_envelope() -> CheckResult:
     bump = pipeline.default_delta_bump()
     fitted = 0.0
+    ys = np.linspace(-2.0, 2.0, 50)
     for x in np.linspace(0.02, 3.0, 50):
-        for y in np.linspace(-2.0, 2.0, 50):
-            g = kernels.delta_weight(float(x), float(y), bump)
-            if float(x) > max(1.0, 2.0 * abs(float(y))) and g != 0.0:
-                return CheckResult(
-                    "kernels.weight-support", "delta weight support and x^-1 envelope",
-                    FAIL, f"support violated at x={x}, y={y}",
-                )
-            fitted = max(fitted, abs(g) * float(x))
+        g = kernels.delta_weight_array(float(x), ys, bump)
+        outside = ys[(float(x) > np.maximum(1.0, 2.0 * np.abs(ys))) & (g != 0.0)]
+        if outside.size:
+            return CheckResult(
+                "kernels.weight-support", "delta weight support and x^-1 envelope",
+                FAIL, f"support violated at x={x}, y={outside[0]}",
+            )
+        fitted = max(fitted, float(np.abs(g).max()) * float(x))
     return CheckResult(
         "kernels.weight-support",
         "delta weight support and x^-1 envelope",

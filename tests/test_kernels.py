@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from deltasum import kernels
+from deltasum import kernels, verify
 from deltasum.pipeline import default_delta_bump, default_window
 
 
@@ -155,30 +155,51 @@ def test_bessel_rejects_bad_arguments():
 
 def test_weight_support():
     w = default_delta_bump()
-    assert kernels.delta_weight(2.0, 0.1, w) == 0.0
+    assert kernels.delta_weight_array(2.0, np.array([0.1]), w)[0] == 0.0
+    ys = np.linspace(-2.0, 2.0, 41)
     for x in np.linspace(0.05, 3.0, 40):
-        for y in np.linspace(-2.0, 2.0, 41):
-            g = kernels.delta_weight(float(x), float(y), w)
-            if float(x) > max(1.0, 2.0 * abs(float(y))):
-                assert g == 0.0
+        g = kernels.delta_weight_array(float(x), ys, w)
+        outside = float(x) > np.maximum(1.0, 2.0 * np.abs(ys))
+        assert np.all(g[outside] == 0.0)
 
 
 def test_weight_flat_in_y_inside_core():
     # value independent of y when x <= 1 and 2|y| <= x
     w = default_delta_bump()
     for x in (0.3, 0.7, 1.0):
-        v1 = kernels.delta_weight(x, 0.0, w)
-        v2 = kernels.delta_weight(x, x / 2 - 1e-9, w)
+        v1, v2 = kernels.delta_weight_array(x, np.array([0.0, x / 2 - 1e-9]), w)
         assert v1 == pytest.approx(v2, abs=1e-12)
 
 
-def test_weight_array_matches_scalar():
-    w = default_delta_bump()
-    ys = np.linspace(-3.0, 3.0, 301)
-    for x in (0.1, 0.45, 0.8, 1.3):
-        arr = kernels.delta_weight_array(x, ys, w)
-        ref = np.array([kernels.delta_weight(x, float(y), w) for y in ys])
-        assert float(np.abs(arr - ref).max()) < 1e-12
+def test_weight_array_matches_mpmath():
+    """The accuracy contract of delta_weight_array: x |g - g_exact| <= 1e-14
+    for x in [0.02, 3], |y| <= 3, sharpness 0.25, 0.5 and 1."""
+    mpmath = pytest.importorskip("mpmath")
+
+    def exact(x, y, bump):
+        # the bump's own (float) scale, everything else at 30 digits
+        lo, width = mpmath.mpf(bump.lo), mpmath.mpf(bump.hi - bump.lo)
+
+        def w(t):
+            u = (t - lo) / width
+            if not 0 < u < 1:
+                return mpmath.mpf(0)
+            return mpmath.mpf(bump._scale) * mpmath.exp(-bump.sharpness / (u * (1 - u)))
+
+        x, y = mpmath.mpf(x), abs(mpmath.mpf(y))
+        j_max = int(mpmath.ceil(max(1, 2 * y) / x))
+        return mpmath.fsum((w(x * j) - w(y / (x * j))) / (x * j) for j in range(1, j_max + 1))
+
+    ys = np.linspace(-3.0, 3.0, 41)
+    worst = 0.0
+    with mpmath.workdps(30):
+        for sharpness in (0.25, 0.5, 1.0):
+            w = default_delta_bump(sharpness)
+            for x in np.linspace(0.02, 3.0, 24).tolist():
+                g = kernels.delta_weight_array(x, ys, w)
+                for y, value in zip(ys.tolist(), g.tolist()):
+                    worst = max(worst, x * abs(value - float(exact(x, y, w))))
+    assert worst <= 1e-14, worst
 
 
 def test_scheme_validation():
@@ -253,6 +274,26 @@ def test_delta_lowered_sweep():
             assert abs(v - (1.0 if n == 0 else 0.0)) < 1e-8
 
 
+def test_decompositions_over_arrays_match_one_element_calls():
+    ns = np.arange(-60, 61)
+    schemes = [
+        (kernels.delta_decompose, kernels.DeltaScheme(q_scale, 1, default_delta_bump()))
+        for q_scale in (6.0, 10.5, 25.0)
+    ] + [
+        (kernels.delta_decompose_lowered, kernels.DeltaScheme(10.0, level, default_delta_bump()))
+        for level in (2, 5, 11)
+    ]
+    for evaluate, scheme in schemes:
+        scheme = kernels.calibrate(scheme)
+        values = evaluate(ns, scheme)
+        assert values.shape == ns.shape and values.dtype == np.float64
+        singles = [evaluate(n, scheme) for n in ns.tolist()]
+        assert all(type(v) is float for v in singles)
+        assert values.tolist() == singles, (evaluate.__name__, scheme.q_scale, scheme.level)
+        if scheme.level == 1:
+            assert values[60] == 1.0
+
+
 def test_broken_bump_rejected():
     # a bump violating the unit-integral convention breaks calibration
     bad = kernels.SmoothBump(0.5, 1.0, sharpness=0.5, normalization="peak", target=5.0)
@@ -295,22 +336,9 @@ def test_double_integral_against_midpoint_grid():
     res = kernels.double_bessel_integral(
         a, b, c, q, q_cap_v, level, r_shift, xs_, ys_, win, order, w
     )
-    n = 1000
-    xs = np.linspace(xs_ / 2, 5 * xs_ / 2, n, endpoint=False) + (2 * xs_) / n / 2
-    ys = np.linspace(ys_ / 2, 5 * ys_ / 2, n, endpoint=False) + (2 * ys_) / n / 2
-    fx = win.fx.value_array(xs / xs_)
-    fy = win.fy.value_array(ys / ys_)
-    jx = kernels.bessel_j_array(order, 4 * math.pi * a * np.sqrt(xs))
-    jy = kernels.bessel_j_array(order, 4 * math.pi * b * np.sqrt(ys))
-    col = fx * jx / np.sqrt(xs)
-    row = fy * jy / np.sqrt(ys)
-    tot = 0.0
-    for i, x in enumerate(xs):
-        g = kernels.delta_weight_array(
-            q * c / q_cap_v, (x - ys + r_shift) / (level * q_cap_v**2), w
-        )
-        tot += col[i] * float(np.dot(g, row))
-    riemann = tot * (2 * xs_ / n) * (2 * ys_ / n)
+    riemann = verify._riemann_reference(
+        a, b, c, q, q_cap_v, level, r_shift, xs_, ys_, win, order, w
+    )
     assert abs(res.value - riemann) <= 3.0 * max(res.error_estimate, 1e-14)
 
 
