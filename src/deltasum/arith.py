@@ -207,7 +207,7 @@ def gcd3(a: int, b: int, c: int) -> int:
 
 
 class MultiplicativeTable:
-    """Sieved values of mu, phi, tau and phi* for 1 <= n <= bound."""
+    """Sieved values of mu and phi for 1 <= n <= bound."""
 
     def __init__(self, bound: int):
         if bound < 1:
@@ -231,15 +231,5 @@ class MultiplicativeTable:
             else:
                 mu[n] = -mu[m]
                 ph[n] = ph[m] * (p - 1)
-        ta = [0] * (bound + 1)
-        ps = [0] * (bound + 1)
-        for d in range(1, bound + 1):
-            md = mu[d]
-            for n in range(d, bound + 1, d):
-                ta[n] += 1
-                if md:
-                    ps[n] += md * ph[n // d]
         self.mu = tuple(mu)
         self.phi = tuple(ph)
-        self.tau = tuple(ta)
-        self.phi_star = tuple(ps)

@@ -255,9 +255,7 @@ def _cmd_delta(p: dict) -> tuple[list[str], list[tuple], int]:
         raise ConfigError("Q must exceed 1")
     if p["nmax"] < 0:
         raise ConfigError("nmax must be nonnegative")
-    scheme = calibrate(
-        DeltaScheme(p["Q"], p["P"], SmoothBump(0.5, 1.0, sharpness=p["sharpness"]))
-    )
+    scheme = calibrate(DeltaScheme(p["Q"], p["P"], pipeline.default_delta_bump(p["sharpness"])))
     evaluate = delta_decompose if p["P"] == 1 else delta_decompose_lowered
     ns = np.arange(-p["nmax"], p["nmax"] + 1)
     rows = list(zip(ns.tolist(), evaluate(ns, scheme).tolist()))
@@ -338,7 +336,7 @@ def _cmd_shifted(p: dict) -> tuple[list[str], list[tuple], int]:
 
 def _cmd_moment(p: dict) -> tuple[list[str], list[tuple], int]:
     form = modforms.builtin_form(p["form"])
-    h = SmoothBump(0.5, 2.5, sharpness=1.0, normalization="peak")
+    h = pipeline.default_moment_window()
     # the opening's lhs is the second moment itself
     lhs, rhs = pipeline.gauss_square_opening(form, p["M"], p["X"], h)
     split = pipeline.diagonal_split(form, p["M"], p["X"], h)

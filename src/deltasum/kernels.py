@@ -129,10 +129,6 @@ class SmoothBump:
         v = u * (1.0 - u)
         return self(x) * self.sharpness * (1.0 - 2.0 * u) / (v * v) / (self.hi - self.lo)
 
-    def integral(self) -> float:
-        value, _ = _adaptive_gk_1d(self.__call__, self.lo, self.hi, 1e-13)
-        return value
-
 
 @dataclass(frozen=True)
 class ProductBump:
@@ -539,7 +535,8 @@ def delta_decompose(n, scheme: DeltaScheme):
     Ramanujan sum.  n may be an int or an integer numpy array; the result is
     a float or a float64 array of the same shape, each value the same as the
     one-element call.  Exactly 1 at n = 0 after calibration; O(1e-12)
-    roundoff otherwise.
+    roundoff otherwise.  The value at -n equals the value at n by
+    construction: only |n| enters.
     """
     if scheme.level != 1:
         raise ValueError("plain decomposition requires a level-1 scheme")
@@ -587,7 +584,8 @@ def delta_decompose_lowered(n, scheme: DeltaScheme):
     (c_Q / (P Q^2)) sum_q sum*_a sum_b e(n (a + b q)/(q P)) g(q/Q, n/(P Q^2)),
     evaluated from the displayed triple sum (a-sum and b-sum taken literally,
     phases reduced exactly in integer arithmetic).  n may be an int or an
-    integer numpy array, as for delta_decompose.
+    integer numpy array, as for delta_decompose.  The value at -n equals the
+    value at n by construction: only |n| enters.
     """
     if scheme.level < 2:
         raise ValueError("conductor-lowered decomposition requires a prime level")

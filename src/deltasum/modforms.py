@@ -45,7 +45,6 @@ __all__ = [
     "BUILTIN_FORM_IDS",
     "deligne_ok",
     "eta_product_series",
-    "hecke_residual",
     "hecke_residual_exact",
     "load_form_csv",
     "twist",
@@ -226,18 +225,6 @@ def builtin_form(form_id: str, bound: int = 3000) -> Newform:
     level, weight, recipe = _FORM_RECIPES[form_id]
     coeffs = eta_product_series(recipe, bound)
     return Newform(form_id, level, weight, tuple(coeffs))
-
-
-def hecke_residual(f: Newform, m: int, n: int) -> float:
-    """|lam(m) lam(n) - sum_{d | (m,n), gcd(d,P)=1} lam(m n / d^2)|."""
-    if gcd(n, f.level) != 1:
-        raise ValueError("n must be coprime to the level")
-    lhs = f.lam(m) * f.lam(n)
-    rhs = 0.0
-    for d in divisors(gcd(m, n)):
-        if gcd(d, f.level) == 1:
-            rhs += f.lam(m * n // (d * d))
-    return abs(lhs - rhs)
 
 
 def hecke_residual_exact(f: Newform, m: int, n: int) -> int:

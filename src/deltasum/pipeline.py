@@ -41,6 +41,7 @@ __all__ = [
     "VORONOI_BOUNDS",
     "VoronoiReport",
     "default_delta_bump",
+    "default_moment_window",
     "diagonal_split",
     "exponent_budget",
     "gauss_square_opening",
@@ -90,12 +91,16 @@ def default_delta_bump(sharpness: float = 0.5) -> SmoothBump:
     return SmoothBump(0.5, 1.0, sharpness=sharpness, normalization="integral")
 
 
+def default_moment_window() -> SmoothBump:
+    """The second-moment window: supported in [1/2, 5/2], peak 1."""
+    return SmoothBump(0.5, 2.5, sharpness=1.0, normalization="peak")
+
+
 def default_window() -> ProductBump:
-    """Product test function supported on [1/2, 5/2]^2, peak 1 per factor."""
-    return ProductBump(
-        SmoothBump(0.5, 2.5, sharpness=1.0, normalization="peak"),
-        SmoothBump(0.5, 2.5, sharpness=1.0, normalization="peak"),
-    )
+    """Product test function supported on [1/2, 5/2]^2: the moment window in
+    each variable."""
+    h = default_moment_window()
+    return ProductBump(h, h)
 
 
 @dataclass(frozen=True)

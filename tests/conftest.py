@@ -1,7 +1,6 @@
 import pytest
 
-from deltasum import modforms
-from deltasum.kernels import SmoothBump
+from deltasum import modforms, pipeline
 
 
 @pytest.fixture(scope="session")
@@ -21,4 +20,4 @@ def all_forms():
 
 @pytest.fixture(scope="session")
 def moment_window():
-    return SmoothBump(0.5, 2.5, sharpness=1.0, normalization="peak")
+    return pipeline.default_moment_window()

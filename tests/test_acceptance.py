@@ -6,11 +6,10 @@ regressions report their fitted values without gating."""
 import subprocess
 import sys
 import time
-from fractions import Fraction
 
 import pytest
 
-from deltasum import modforms, pipeline, verify
+from deltasum import modforms, verify
 
 
 def _report(number: int, name: str, detail: str = ""):
@@ -75,15 +74,9 @@ def test_criterion_6_second_moment_identities():
 
 
 def test_criterion_7_exponent_arithmetic():
-    assert pipeline.exponent_budget(Fraction(2, 5)).delta == 0
-    assert pipeline.exponent_budget(0).delta == Fraction(1, 10)
-    assert pipeline.exponent_budget(Fraction(2, 7)).delta == Fraction(1, 40)
-    for num in range(0, 80):
-        eta = Fraction(num, 100)
-        budget = pipeline.exponent_budget(eta)
-        assert budget.subconvex == (0 < eta < Fraction(2, 5))
-        assert budget.classical_threshold == Fraction(2, 7)
-    _report(7, "exponent arithmetic")
+    row = verify.check_exponents()
+    assert row.status == "PASS", row.detail
+    _report(7, "exponent arithmetic", row.detail)
 
 
 def test_criterion_8_hecke_deligne():

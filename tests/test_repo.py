@@ -50,3 +50,49 @@ def test_benchmark_hooks_resolve():
     registry = {name for name, _ in verify.REGISTRY}
     selected = set(workloads.VERIFY_SKIP) | set(workloads.SIZES["tiny"]["verify_only"])
     assert selected <= registry, sorted(selected - registry)
+
+
+# Row names are benchmark metric names (verify.<name>.s) and fix the CSV row
+# order of verify-all.
+_REGISTRY_NAMES = (
+    "arith.divisor-identities",
+    "arith.phi-star",
+    "arith.factorize-roundtrip",
+    "characters.enumeration",
+    "characters.gauss-modulus",
+    "characters.gauss-twist",
+    "characters.orthogonality",
+    "expsums.weil-sweep",
+    "expsums.symmetry",
+    "expsums.collapse-bitwise",
+    "expsums.twisted-multiplicativity",
+    "expsums.crt-flag",
+    "expsums.ramanujan",
+    "expsums.recombination",
+    "modforms.deligne",
+    "modforms.hecke",
+    "modforms.eta-determinism",
+    "modforms.level-coefficient",
+    "kernels.delta-plain",
+    "kernels.delta-lowered",
+    "kernels.bessel",
+    "kernels.weight-support",
+    "kernels.double-integral",
+    "kernels.double-integral-envelope",
+    "kernels.truncation-ranges",
+    "pipeline.shifted-identity",
+    "pipeline.kloosterman-collapse",
+    "pipeline.voronoi",
+    "pipeline.voronoi-ramified",
+    "pipeline.moment-identities",
+    "pipeline.exponents",
+    "pipeline.bound-monotonicity",
+    "pipeline.moment-slope",
+    "pipeline.shifted-ratio",
+)
+
+
+def test_registry_names_and_order():
+    from deltasum import verify
+
+    assert tuple(name for name, _ in verify.REGISTRY) == _REGISTRY_NAMES
