@@ -6,6 +6,12 @@ first line of every file is a comment naming the identity or check the
 table instantiates. Numeric cells use the shortest round-trip
 representation; exact rationals stay as p/q strings.
 
+Each subcommand is declared once, by ``@_command(name, title, columns,
+*params)`` on the function that computes its rows: the header line, the
+column row, the command-line options, the accepted configuration keys and
+the dispatch all come from that declaration. A table with a ``status``
+column exits 1 when any row reads FAIL.
+
 Configuration: a flat key = value file (one pair per line, '#' comments)
 selected with --config; command-line flags override file values; unknown
 keys are rejected. The DELTASUM_OUT_DIR environment variable redirects
@@ -60,75 +66,31 @@ class Param:
     required: bool = False
 
 
-_SCHEMAS: dict[str, tuple[Param, ...]] = {
-    "characters": (
-        Param("M", int, None, "modulus of the character group", required=True),
-    ),
-    "kloosterman": (
-        Param("a", int, None, "first argument (single-sum mode)"),
-        Param("b", int, None, "second argument (single-sum mode)"),
-        Param("c", int, None, "modulus (single-sum mode)"),
-        Param("cmax", int, None, "sweep moduli 1..cmax (sweep mode)"),
-        Param("samples", int, 5, "random (a, b) pairs per modulus in sweep mode"),
-        Param("seed", int, 7, "seed for the sweep sampler"),
-        Param("crt", int, 0, "1 = use the factorization fast path"),
-    ),
-    "delta": (
-        Param("Q", float, None, "decomposition parameter Q > 1", required=True),
-        Param("P", int, 1, "level; 1 = plain, prime = conductor-lowered"),
-        Param("nmax", int, 50, "tabulate n in [-nmax, nmax]"),
-        Param("sharpness", float, 0.5, "bump sharpness"),
-    ),
-    "voronoi": (
-        Param("form", _parse_form, None, "built-in form id", required=True),
-        Param("q", int, 1, "denominator of the additive twist"),
-        Param("a", int, 1, "numerator of the additive twist"),
-        Param("support_lo", float, 40.0, "test-function support start"),
-        Param("support_hi", float, 200.0, "test-function support end"),
-        Param("truncation_tol", float, 1e-12, "dual-sum truncation threshold"),
-        Param("bound", int, 0, "coefficient bound (0 = per-form default)"),
-    ),
-    "shifted": (
-        Param("f1", _parse_form, None, "first form id", required=True),
-        Param("f2", _parse_form, None, "second form id (defaults to f1)"),
-        Param("M", int, None, "shift modulus", required=True),
-        Param("r", int, 1, "shift multiplier (nonzero)"),
-        Param("X", float, None, "first scale", required=True),
-        Param("Y", float, None, "second scale (defaults to X)"),
-    ),
-    "moment": (
-        Param("form", _parse_form, None, "built-in form id", required=True),
-        Param("M", int, None, "character modulus", required=True),
-        Param("X", float, None, "partial-sum scale", required=True),
-    ),
-    "exponent": (
-        Param("eta", _parse_fraction, None, "hybrid ratio as exact p/q", required=True),
-    ),
-    "verify-all": (),
-}
+@dataclass(frozen=True)
+class Command:
+    name: str
+    title: str
+    columns: tuple[str, ...]
+    params: tuple[Param, ...]
+    rows: Callable[[dict], list[tuple]]
 
-_HEADERS = {
-    "characters": "character value tables: exact root-of-unity exponents  "
-    "(columns: chi_index,residue,exponent_numerator,exponent_denominator)",
-    "kloosterman": "Kloosterman sums with the Weil bound "
-    "(columns: a,b,c,value,weil_bound,ratio)",
-    "delta": "delta-symbol decomposition values; exactly 1 at n = 0 "
-    "(columns: n,value)",
-    "voronoi": "dual-summation phase solve and cross-validation "
-    "(columns: form,q,a,eta_re,eta_im,eta_abs_error,residual,dual_terms)",
-    "shifted": "shifted convolution sum: direct vs decomposition with strata "
-    "(columns: f1,f2,M,r,X,Y,direct,delta,coprime_stratum,gamma_stratum,"
-    "modulus_stratum,bound,ratio,identity_residual,partition_residual)",
-    "moment": "second moment of twisted partial sums with its opening, "
-    "diagonal split, and bound comparison; at level 1 the bound reduces to "
-    "the classical single-form second-moment shape (columns: form,M,X,"
-    "second_moment,gauss_lhs,gauss_rhs,diagonal,off_diagonal,r_bound,"
-    "reconstruction_residual,bound_x,bound_value)",
-    "exponent": "exact exponent arithmetic for the hybrid range (columns: "
-    "eta,delta,final_exponent,subconvex,classical_threshold,"
-    "blomer_harcos_exponent)",
-    "verify-all": "module invariant suites (columns: check,label,status,detail)",
-}
+    @property
+    def header(self) -> str:
+        return f"{self.title} (columns: {','.join(self.columns)})"
+
+
+COMMANDS: dict[str, Command] = {}
+
+
+def _command(name: str, title: str, columns: str, *params: Param):
+    """Declare subcommand ``name``: its rows come from the decorated
+    function, called with the resolved parameter dict."""
+
+    def register(fn):
+        COMMANDS[name] = Command(name, title, tuple(columns.split(",")), params, fn)
+        return fn
+
+    return register
 
 
 def _fmt_cell(v) -> str:
@@ -149,9 +111,8 @@ def _csv_quote(text: str) -> str:
     return text
 
 
-def _render_csv(command: str, columns: list[str], rows: list[tuple]) -> str:
-    lines = [f"# deltasum {command}: {_HEADERS[command]}"]
-    lines.append(",".join(columns))
+def _render_csv(command: Command, rows: list[tuple]) -> str:
+    lines = [f"# deltasum {command.name}: {command.header}", ",".join(command.columns)]
     for row in rows:
         lines.append(",".join(_csv_quote(_fmt_cell(v)) for v in row))
     return "\n".join(lines) + "\n"
@@ -174,8 +135,8 @@ def _read_config(path: str) -> dict[str, str]:
     return out
 
 
-def _resolve_params(command: str, args: argparse.Namespace) -> dict[str, object]:
-    schema = {p.name: p for p in _SCHEMAS[command]}
+def _resolve_params(command: Command, args: argparse.Namespace) -> dict[str, object]:
+    schema = {p.name: p for p in command.params}
     values: dict[str, object] = {}
     if args.config:
         for key, raw in _read_config(args.config).items():
@@ -183,12 +144,8 @@ def _resolve_params(command: str, args: argparse.Namespace) -> dict[str, object]
                 if args.out is None:
                     args.out = raw
                 continue
-            if key == "threads":
-                if args.threads is None:
-                    args.threads = int(raw)
-                continue
             if key not in schema:
-                raise ConfigError(f"unknown key {key!r} for command {command!r}")
+                raise ConfigError(f"unknown key {key!r} for command {command.name!r}")
             values[key] = schema[key].parse(raw)
     for name, param in schema.items():
         cli_value = getattr(args, name, None)
@@ -207,7 +164,15 @@ def _resolve_params(command: str, args: argparse.Namespace) -> dict[str, object]
 # ---------------------------------------------------------------------------
 
 
-def _cmd_characters(p: dict) -> tuple[list[str], list[tuple], int]:
+@_command(
+    "characters",
+    # the trailing space keeps the two spaces before "(columns:" that
+    # the sha256-pinned tables were written with
+    "character value tables: exact root-of-unity exponents ",
+    "chi_index,residue,exponent_numerator,exponent_denominator",
+    Param("M", int, None, "modulus of the character group", required=True),
+)
+def _cmd_characters(p: dict) -> list[tuple]:
     modulus = p["M"]
     if modulus < 1:
         raise ConfigError("M must be a positive integer")
@@ -215,15 +180,22 @@ def _cmd_characters(p: dict) -> tuple[list[str], list[tuple], int]:
     for idx, chi in enumerate(enumerate_characters(modulus)):
         for residue, num, den in chi.value_rows():
             rows.append((idx, residue, num, den))
-    return (
-        ["chi_index", "residue", "exponent_numerator", "exponent_denominator"],
-        rows,
-        0,
-    )
+    return rows
 
 
-def _cmd_kloosterman(p: dict) -> tuple[list[str], list[tuple], int]:
-    cols = ["a", "b", "c", "value", "weil_bound", "ratio"]
+@_command(
+    "kloosterman",
+    "Kloosterman sums with the Weil bound",
+    "a,b,c,value,weil_bound,ratio",
+    Param("a", int, None, "first argument (single-sum mode)"),
+    Param("b", int, None, "second argument (single-sum mode)"),
+    Param("c", int, None, "modulus (single-sum mode)"),
+    Param("cmax", int, None, "sweep moduli 1..cmax (sweep mode)"),
+    Param("samples", int, 5, "random (a, b) pairs per modulus in sweep mode"),
+    Param("seed", int, 7, "seed for the sweep sampler"),
+    Param("crt", int, 0, "1 = use the factorization fast path"),
+)
+def _cmd_kloosterman(p: dict) -> list[tuple]:
     use_crt = bool(p["crt"])
     rows = []
     if p["c"] is not None:
@@ -247,10 +219,19 @@ def _cmd_kloosterman(p: dict) -> tuple[list[str], list[tuple], int]:
                 )
     else:
         raise ConfigError("provide either c (single sum) or cmax (sweep)")
-    return cols, rows, 0
+    return rows
 
 
-def _cmd_delta(p: dict) -> tuple[list[str], list[tuple], int]:
+@_command(
+    "delta",
+    "delta-symbol decomposition values; exactly 1 at n = 0",
+    "n,value",
+    Param("Q", float, None, "decomposition parameter Q > 1", required=True),
+    Param("P", int, 1, "level; 1 = plain, prime = conductor-lowered"),
+    Param("nmax", int, 50, "tabulate n in [-nmax, nmax]"),
+    Param("sharpness", float, 0.5, "bump sharpness"),
+)
+def _cmd_delta(p: dict) -> list[tuple]:
     if p["Q"] <= 1:
         raise ConfigError("Q must exceed 1")
     if p["nmax"] < 0:
@@ -258,11 +239,22 @@ def _cmd_delta(p: dict) -> tuple[list[str], list[tuple], int]:
     scheme = calibrate(DeltaScheme(p["Q"], p["P"], pipeline.default_delta_bump(p["sharpness"])))
     evaluate = delta_decompose if p["P"] == 1 else delta_decompose_lowered
     ns = np.arange(-p["nmax"], p["nmax"] + 1)
-    rows = list(zip(ns.tolist(), evaluate(ns, scheme).tolist()))
-    return ["n", "value"], rows, 0
+    return list(zip(ns.tolist(), evaluate(ns, scheme).tolist()))
 
 
-def _cmd_voronoi(p: dict) -> tuple[list[str], list[tuple], int]:
+@_command(
+    "voronoi",
+    "dual-summation phase solve and cross-validation",
+    "form,q,a,eta_re,eta_im,eta_abs_error,residual,dual_terms",
+    Param("form", _parse_form, None, "built-in form id", required=True),
+    Param("q", int, 1, "denominator of the additive twist"),
+    Param("a", int, 1, "numerator of the additive twist"),
+    Param("support_lo", float, 40.0, "test-function support start"),
+    Param("support_hi", float, 200.0, "test-function support end"),
+    Param("truncation_tol", float, 1e-12, "dual-sum truncation threshold"),
+    Param("bound", int, 0, "coefficient bound (0 = per-form default)"),
+)
+def _cmd_voronoi(p: dict) -> list[tuple]:
     if p["q"] < 1:
         raise ConfigError("q must be positive")
     if math.gcd(p["a"], p["q"]) != 1:
@@ -271,26 +263,23 @@ def _cmd_voronoi(p: dict) -> tuple[list[str], list[tuple], int]:
     form = modforms.builtin_form(p["form"], bound=bound)
     h = SmoothBump(p["support_lo"], p["support_hi"], sharpness=1.0, normalization="peak")
     rep = pipeline.verify_voronoi(form, p["a"], p["q"], h, truncation_tol=p["truncation_tol"])
-    rows = [
-        (
-            p["form"],
-            p["q"],
-            p["a"],
-            rep.eta.real,
-            rep.eta.imag,
-            rep.eta_abs_error,
-            rep.residual,
-            rep.dual_terms,
-        )
-    ]
-    return (
-        ["form", "q", "a", "eta_re", "eta_im", "eta_abs_error", "residual", "dual_terms"],
-        rows,
-        0,
-    )
+    return [(p["form"], p["q"], p["a"], rep.eta.real, rep.eta.imag, rep.eta_abs_error,
+             rep.residual, rep.dual_terms)]
 
 
-def _cmd_shifted(p: dict) -> tuple[list[str], list[tuple], int]:
+@_command(
+    "shifted",
+    "shifted convolution sum: direct vs decomposition with strata",
+    "f1,f2,M,r,X,Y,direct,delta,coprime_stratum,gamma_stratum,"
+    "modulus_stratum,bound,ratio,identity_residual,partition_residual",
+    Param("f1", _parse_form, None, "first form id", required=True),
+    Param("f2", _parse_form, None, "second form id (defaults to f1)"),
+    Param("M", int, None, "shift modulus", required=True),
+    Param("r", int, 1, "shift multiplier (nonzero)"),
+    Param("X", float, None, "first scale", required=True),
+    Param("Y", float, None, "second scale (defaults to X)"),
+)
+def _cmd_shifted(p: dict) -> list[tuple]:
     f1 = modforms.builtin_form(p["f1"])
     f2 = modforms.builtin_form(p["f2"] or p["f1"])
     y_scale = p["Y"] if p["Y"] is not None else p["X"]
@@ -304,37 +293,24 @@ def _cmd_shifted(p: dict) -> tuple[list[str], list[tuple], int]:
         window=pipeline.default_window(),
     )
     rep = pipeline.shifted_sum_delta(spec)
-    rows = [
-        (
-            f1.form_id,
-            f2.form_id,
-            p["M"],
-            p["r"],
-            p["X"],
-            y_scale,
-            rep.direct_value,
-            rep.delta_value,
-            rep.stratum_coprime,
-            rep.stratum_gamma,
-            rep.stratum_modulus,
-            rep.bound_value,
-            abs(rep.direct_value) / rep.bound_value,
-            rep.identity_residual,
-            rep.partition_residual,
-        )
-    ]
-    return (
-        [
-            "f1", "f2", "M", "r", "X", "Y", "direct", "delta", "coprime_stratum",
-            "gamma_stratum", "modulus_stratum", "bound", "ratio",
-            "identity_residual", "partition_residual",
-        ],
-        rows,
-        0,
-    )
+    return [(f1.form_id, f2.form_id, p["M"], p["r"], p["X"], y_scale, rep.direct_value,
+             rep.delta_value, rep.stratum_coprime, rep.stratum_gamma, rep.stratum_modulus,
+             rep.bound_value, abs(rep.direct_value) / rep.bound_value,
+             rep.identity_residual, rep.partition_residual)]
 
 
-def _cmd_moment(p: dict) -> tuple[list[str], list[tuple], int]:
+@_command(
+    "moment",
+    "second moment of twisted partial sums with its opening, diagonal split, "
+    "and bound comparison; at level 1 the bound reduces to the classical "
+    "single-form second-moment shape",
+    "form,M,X,second_moment,gauss_lhs,gauss_rhs,diagonal,off_diagonal,r_bound,"
+    "reconstruction_residual,bound_x,bound_value",
+    Param("form", _parse_form, None, "built-in form id", required=True),
+    Param("M", int, None, "character modulus", required=True),
+    Param("X", float, None, "partial-sum scale", required=True),
+)
+def _cmd_moment(p: dict) -> list[tuple]:
     form = modforms.builtin_form(p["form"])
     h = pipeline.default_moment_window()
     # the opening's lhs is the second moment itself
@@ -356,60 +332,32 @@ def _cmd_moment(p: dict) -> tuple[list[str], list[tuple], int]:
     conductor = form.level * p["M"] ** 2
     bound_x = min(max(p["X"], conductor ** (0.5 - delta)), conductor ** (0.5 + 0.01))
     bound = pipeline.second_moment_bound(form.level, p["M"], bound_x, delta, 0.01)
-    rows = [
-        (
-            form.form_id,
-            p["M"],
-            p["X"],
-            lhs,
-            lhs,
-            rhs,
-            split.diagonal,
-            split.off_diagonal,
-            split.r_bound,
-            residual,
-            bound_x,
-            bound,
-        )
-    ]
-    return (
-        [
-            "form", "M", "X", "second_moment", "gauss_lhs", "gauss_rhs",
-            "diagonal", "off_diagonal", "r_bound", "reconstruction_residual",
-            "bound_x", "bound_value",
-        ],
-        rows,
-        0,
-    )
+    return [(form.form_id, p["M"], p["X"], lhs, lhs, rhs, split.diagonal, split.off_diagonal,
+             split.r_bound, residual, bound_x, bound)]
 
 
-def _cmd_exponent(p: dict) -> tuple[list[str], list[tuple], int]:
+@_command(
+    "exponent",
+    "exact exponent arithmetic for the hybrid range",
+    "eta,delta,final_exponent,subconvex,classical_threshold,blomer_harcos_exponent",
+    Param("eta", _parse_fraction, None, "hybrid ratio as exact p/q", required=True),
+)
+def _cmd_exponent(p: dict) -> list[tuple]:
     budget = pipeline.exponent_budget(p["eta"])
-    rows = [
-        (
-            budget.eta,
-            budget.delta,
-            budget.final_exponent,
-            budget.subconvex,
-            budget.classical_threshold,
-            budget.blomer_harcos_exponent,
-        )
-    ]
-    return (
-        [
-            "eta", "delta", "final_exponent", "subconvex",
-            "classical_threshold", "blomer_harcos_exponent",
-        ],
-        rows,
-        0,
-    )
+    return [(budget.eta, budget.delta, budget.final_exponent, budget.subconvex,
+             budget.classical_threshold, budget.blomer_harcos_exponent)]
 
 
-def _cmd_verify_all(p: dict, threads: int) -> tuple[list[str], list[tuple], int]:
-    results = verify.run_all(threads=threads)
-    rows = [(r.check, r.label, r.status, r.detail) for r in results]
-    status = 1 if any(r.status == "FAIL" for r in results) else 0
-    return ["check", "label", "status", "detail"], rows, status
+@_command(
+    "verify-all",
+    "module invariant suites",
+    "check,label,status,detail",
+    Param("threads", int, 1, "worker threads (default 1)"),
+)
+def _cmd_verify_all(p: dict) -> list[tuple]:
+    if p["threads"] < 1:
+        raise ConfigError("threads must be positive")
+    return [(r.check, r.label, r.status, r.detail) for r in verify.run_all(threads=p["threads"])]
 
 
 # ---------------------------------------------------------------------------
@@ -431,23 +379,19 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default=argparse.SUPPRESS,
                         help="output CSV path (default: stdout); "
                         "relative paths respect DELTASUM_OUT_DIR")
-    common.add_argument("--threads", type=int, default=argparse.SUPPRESS,
-                        help="worker threads for verify-all (default 1)")
-    parser.set_defaults(config=None, out=None, threads=None)
+    parser.set_defaults(config=None, out=None)
     parser.add_argument("--config", help="flat key = value parameter file")
     parser.add_argument("--out", help="output CSV path (default: stdout); "
                         "relative paths respect DELTASUM_OUT_DIR")
-    parser.add_argument("--threads", type=int,
-                        help="worker threads for verify-all (default 1)")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, params in _SCHEMAS.items():
+    for command in COMMANDS.values():
         sp = sub.add_parser(
-            command,
+            command.name,
             parents=[common],
-            help=_HEADERS[command].split("(")[0].strip(),
-            description=f"Emits CSV: {_HEADERS[command]}",
+            help=command.title.strip(),
+            description=f"Emits CSV: {command.header}",
         )
-        for param in params:
+        for param in command.params:
             sp.add_argument(
                 f"--{param.name}",
                 type=param.parse,
@@ -455,17 +399,6 @@ def _build_parser() -> argparse.ArgumentParser:
                 help=param.help + (" [required]" if param.required else ""),
             )
     return parser
-
-
-_DISPATCH = {
-    "characters": _cmd_characters,
-    "kloosterman": _cmd_kloosterman,
-    "delta": _cmd_delta,
-    "voronoi": _cmd_voronoi,
-    "shifted": _cmd_shifted,
-    "moment": _cmd_moment,
-    "exponent": _cmd_exponent,
-}
 
 
 def _resolve_out(out: str | None) -> Path | None:
@@ -481,27 +414,26 @@ def _resolve_out(out: str | None) -> Path | None:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    command = COMMANDS[args.command]
     try:
-        params = _resolve_params(args.command, args)
-        threads = args.threads if args.threads and args.threads > 0 else 1
-        if args.command == "verify-all":
-            columns, rows, status = _cmd_verify_all(params, threads)
-        else:
-            columns, rows, status = _DISPATCH[args.command](params)
+        rows = command.rows(_resolve_params(command, args))
     except ValueError as exc:  # ConfigError, validation gates, preconditions
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:  # CalibrationError, NumericalFailure, ...
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    text = _render_csv(args.command, columns, rows)
+    text = _render_csv(command, rows)
     out_path = _resolve_out(args.out)
     if out_path is None:
         sys.stdout.write(text)
     else:
         out_path.parent.mkdir(parents=True, exist_ok=True)
         out_path.write_text(text)
-    return status
+    if "status" in command.columns:
+        status = command.columns.index("status")
+        return int(any(row[status] == "FAIL" for row in rows))
+    return 0
 
 
 if __name__ == "__main__":

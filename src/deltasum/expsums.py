@@ -126,8 +126,8 @@ def twisted_multiplicativity(
     if gcd(c1, c2) != 1:
         raise ValueError("moduli must be coprime")
     left = kloosterman(m, n, c1 * c2).value
-    inv2 = inverse_mod(c2 % c1 if c1 > 1 else 0, c1) if c1 > 1 else 0
-    inv1 = inverse_mod(c1 % c2 if c2 > 1 else 0, c2) if c2 > 1 else 0
+    inv2 = inverse_mod(c2, c1)
+    inv1 = inverse_mod(c1, c2)
     right = (
         kloosterman(m * inv2, n * inv2, c1).value
         * kloosterman(m * inv1, n * inv1, c2).value

@@ -36,7 +36,6 @@ __all__ = [
     "SmoothBump",
     "Stratum",
     "UncalibratedScheme",
-    "bessel_j",
     "bessel_j_array",
     "calibrate",
     "congruence_average",
@@ -407,11 +406,6 @@ def bessel_j_array(order: int, xs: np.ndarray) -> np.ndarray:
             order, x, x <= BESSEL_CROSSOVER, _bessel_series_array, _bessel_asymptotic_array
         )
     return out.reshape(xs.shape)
-
-
-def bessel_j(order: int, x: float) -> float:
-    """J_order(x) for one x; the one-element case of bessel_j_array."""
-    return float(bessel_j_array(order, np.array([x], dtype=float))[0])
 
 
 # ---------------------------------------------------------------------------

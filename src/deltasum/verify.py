@@ -501,20 +501,21 @@ def check_bessel():
         return float(np.trapezoid(vals, ts) / math.pi)
 
     worst_oracle = 0.0
+    xs = np.array([1.0, 5.0, 20.0])
     for k in (0, 1, 2, 5, 11):
-        for x in (1.0, 5.0, 20.0):
-            worst_oracle = max(worst_oracle, abs(kernels.bessel_j(k, x) - oracle(k, x)))
+        for x, j in zip(xs.tolist(), kernels.bessel_j_array(k, xs).tolist()):
+            worst_oracle = max(worst_oracle, abs(j - oracle(k, x)))
     worst_branch = 0.0
     xs = np.linspace(11.0, 13.0, 9)
     for k in (0, 1, 5, 11, 20):
         gap = kernels._bessel_series_array(k, xs) - kernels._bessel_asymptotic_array(k, xs)
         worst_branch = max(worst_branch, float(np.abs(gap).max()))
-    worst_rec = 0.0
-    for k in (1, 2, 5, 11, 19):
-        for x in np.linspace(0.5, 30.0, 30):
-            lhs = kernels.bessel_j(k - 1, float(x)) + kernels.bessel_j(k + 1, float(x))
-            rhs = 2.0 * k / float(x) * kernels.bessel_j(k, float(x))
-            worst_rec = max(worst_rec, abs(lhs - rhs))
+    xs = np.linspace(0.5, 30.0, 30)
+    orders = (1, 2, 5, 11, 19)
+    js = {j: kernels.bessel_j_array(j, xs) for j in {k + d for k in orders for d in (-1, 0, 1)}}
+    worst_rec = max(
+        float(np.abs(js[k - 1] + js[k + 1] - 2.0 * k / xs * js[k]).max()) for k in orders
+    )
     # gates from the 5e-12 accuracy contract of bessel_j_array: one value
     # against an exact oracle, two values, and the three-term recurrence
     gates = {"oracle": 1e-11, "branches": 1e-11, "recurrence": 1e-10}

@@ -186,3 +186,100 @@ def test_numerical_failure_exit_status():
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: CalibrationError: ")
     assert len(proc.stderr.splitlines()) == 1
+
+
+# the header and column row of every subcommand, as written before each
+# subcommand was declared once with @_command
+_HEADER_LINES = [
+    (
+        ["characters", "--M", "15"],
+        "# deltasum characters: character value tables: exact root-of-unity "
+        "exponents  (columns: chi_index,residue,exponent_numerator,"
+        "exponent_denominator)",
+        "chi_index,residue,exponent_numerator,exponent_denominator",
+    ),
+    (
+        ["kloosterman", "--c", "3", "--a", "1", "--b", "1"],
+        "# deltasum kloosterman: Kloosterman sums with the Weil bound (columns: "
+        "a,b,c,value,weil_bound,ratio)",
+        "a,b,c,value,weil_bound,ratio",
+    ),
+    (
+        ["delta", "--Q", "10", "--P", "1", "--nmax", "50"],
+        "# deltasum delta: delta-symbol decomposition values; exactly 1 at n = 0 "
+        "(columns: n,value)",
+        "n,value",
+    ),
+    (
+        ["voronoi", "--form", "E2_11_2", "--q", "3"],
+        "# deltasum voronoi: dual-summation phase solve and cross-validation "
+        "(columns: form,q,a,eta_re,eta_im,eta_abs_error,residual,dual_terms)",
+        "form,q,a,eta_re,eta_im,eta_abs_error,residual,dual_terms",
+    ),
+    (
+        ["shifted", "--f1", "E2_11_2", "--M", "2", "--r", "1", "--X", "40"],
+        "# deltasum shifted: shifted convolution sum: direct vs decomposition with "
+        "strata (columns: f1,f2,M,r,X,Y,direct,delta,coprime_stratum,gamma_stratum,"
+        "modulus_stratum,bound,ratio,identity_residual,partition_residual)",
+        "f1,f2,M,r,X,Y,direct,delta,coprime_stratum,gamma_stratum,modulus_stratum,"
+        "bound,ratio,identity_residual,partition_residual",
+    ),
+    (
+        ["moment", "--form", "Delta_1_12", "--M", "15", "--X", "30"],
+        "# deltasum moment: second moment of twisted partial sums with its opening, "
+        "diagonal split, and bound comparison; at level 1 the bound reduces to the "
+        "classical single-form second-moment shape (columns: form,M,X,second_moment,"
+        "gauss_lhs,gauss_rhs,diagonal,off_diagonal,r_bound,reconstruction_residual,"
+        "bound_x,bound_value)",
+        "form,M,X,second_moment,gauss_lhs,gauss_rhs,diagonal,off_diagonal,r_bound,"
+        "reconstruction_residual,bound_x,bound_value",
+    ),
+    (
+        ["exponent", "--eta", "2/5"],
+        "# deltasum exponent: exact exponent arithmetic for the hybrid range "
+        "(columns: eta,delta,final_exponent,subconvex,classical_threshold,"
+        "blomer_harcos_exponent)",
+        "eta,delta,final_exponent,subconvex,classical_threshold,blomer_harcos_exponent",
+    ),
+    (
+        ["verify-all"],
+        "# deltasum verify-all: module invariant suites (columns: "
+        "check,label,status,detail)",
+        "check,label,status,detail",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,header,columns", _HEADER_LINES, ids=[argv[0] for argv, _, _ in _HEADER_LINES]
+)
+def test_header_lines_unchanged(argv, header, columns, monkeypatch):
+    from deltasum import verify
+
+    # verify-all runs no checks here: only its first two lines are compared
+    monkeypatch.setattr(verify, "run_all", lambda threads=1: [])
+    status, out = _run(argv)
+    assert status == 0
+    assert out.splitlines()[:2] == [header, columns]
+
+
+def test_verify_all_rejects_nonpositive_threads(monkeypatch, capsys):
+    from deltasum import verify
+
+    def fake_run_all(threads=1):
+        raise AssertionError("run_all must not be reached")
+
+    monkeypatch.setattr(verify, "run_all", fake_run_all)
+    for threads in ("0", "-3"):
+        status = cli.main(["verify-all", "--threads", threads])
+        assert status == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: threads must be positive\n"
+
+
+def test_threads_is_a_verify_all_option_only(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["exponent", "--threads", "2", "--eta", "2/5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --threads" in capsys.readouterr().err

@@ -59,12 +59,12 @@ def _bessel_oracle(order, x, nodes=8192):
 
 
 def test_bessel_at_zero():
-    assert kernels.bessel_j(0, 0.0) == 1.0
-    assert kernels.bessel_j(1, 0.0) == 0.0
+    assert kernels.bessel_j_array(0, np.array([0.0]))[0] == 1.0
+    assert kernels.bessel_j_array(1, np.array([0.0]))[0] == 0.0
 
 
 def test_bessel_first_zero():
-    assert abs(kernels.bessel_j(1, 3.8317)) < 1e-3
+    assert abs(kernels.bessel_j_array(1, np.array([3.8317]))[0]) < 1e-3
 
 
 @pytest.mark.parametrize("order", [0, 1, 2, 5, 11, 20])
@@ -72,7 +72,7 @@ def test_bessel_first_zero():
 def test_bessel_against_integral_oracle(order, x):
     # an oracle independent of mpmath, at the 5e-12 contract plus its own
     # error (2.2e-16 measured on this grid)
-    assert kernels.bessel_j(order, x) == pytest.approx(
+    assert kernels.bessel_j_array(order, np.array([x]))[0] == pytest.approx(
         _bessel_oracle(order, x), abs=1e-11
     )
 
@@ -89,15 +89,14 @@ def test_bessel_branch_agreement():
 def test_bessel_recurrence():
     for order in (1, 2, 5, 11, 19):
         for x in np.linspace(0.5, 30.0, 40):
-            lhs = kernels.bessel_j(order - 1, float(x)) + kernels.bessel_j(
-                order + 1, float(x)
-            )
-            rhs = 2.0 * order / float(x) * kernels.bessel_j(order, float(x))
-            assert abs(lhs - rhs) < 1e-10  # 2.7e-13 measured on this grid
+            xs = np.array([x])
+            lhs = kernels.bessel_j_array(order - 1, xs) + kernels.bessel_j_array(order + 1, xs)
+            rhs = 2.0 * order / x * kernels.bessel_j_array(order, xs)
+            assert abs(lhs[0] - rhs[0]) < 1e-10  # 2.7e-13 measured on this grid
 
 
 def test_bessel_array_matches_scalar():
-    """bessel_j(order, x), a one-element array, equals bit for bit the same x
+    """bessel_j_array on a one-element array equals bit for bit the same x
     inside a shuffled array that spans several chunks and every branch."""
     rng = np.random.default_rng(7)
     probes = np.concatenate([
@@ -112,7 +111,7 @@ def test_bessel_array_matches_scalar():
     at = np.argsort(perm)[: probes.size]
     for order in (0, 1, 4, 11, 20):
         shuffled = kernels.bessel_j_array(order, xs[perm])
-        single = np.array([kernels.bessel_j(order, float(x)) for x in probes])
+        single = np.array([kernels.bessel_j_array(order, np.array([x]))[0] for x in probes])
         assert np.array_equal(shuffled[at], single)
 
 
@@ -143,9 +142,9 @@ def test_bessel_array_matches_mpmath():
 
 def test_bessel_rejects_bad_arguments():
     with pytest.raises(ValueError):
-        kernels.bessel_j(21, 1.0)
+        kernels.bessel_j_array(21, np.array([1.0]))
     with pytest.raises(ValueError):
-        kernels.bessel_j(1, -1.0)
+        kernels.bessel_j_array(1, np.array([-1.0]))
 
 
 # ---------------------------------------------------------------------------
