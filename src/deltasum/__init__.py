@@ -5,7 +5,7 @@ Library modules:
 - arith: exact factorization, modular inverses, multiplicative functions
 - characters: Dirichlet characters, Gauss sums, orthogonality
 - expsums: Kloosterman/Ramanujan sums, Weil bounds, residue recombination
-- modforms: eta-product newform coefficients, Hecke and bound checks, twists
+- modforms: eta-product newform coefficients, Hecke and bound checks
 - kernels: smooth bumps, J-Bessel, delta-symbol decompositions, oscillatory
   double integrals
 - pipeline: shifted convolution sums, second-moment identities, Voronoi

@@ -145,11 +145,6 @@ class DirichletCharacter:
     def modulus(self) -> int:
         return self.group.modulus
 
-    @property
-    def order_denominator(self) -> int:
-        """Common root-of-unity order: chi(n) = e(exponent(n) / this)."""
-        return self.group.order
-
     def exponents(self, ns) -> np.ndarray:
         """k with chi(n) = e(k/order) for each integer n, -1 where
         gcd(n, M) > 1."""
@@ -161,11 +156,6 @@ class DirichletCharacter:
         """chi(n) for each integer n as complex128, 0 where gcd(n, M) > 1."""
         k = self.exponents(ns)
         return np.where(k >= 0, self.group.roots[k], 0)
-
-    def exponent(self, n: int) -> int | None:
-        """k with chi(n) = e(k/order), or None when gcd(n, M) > 1."""
-        k = int(self.exponents(n % self.modulus))
-        return None if k < 0 else k
 
     def __call__(self, n: int) -> complex:
         return complex(self.values(n % self.modulus))

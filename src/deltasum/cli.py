@@ -14,8 +14,10 @@ column exits 1 when any row reads FAIL.
 
 Configuration: a flat key = value file (one pair per line, '#' comments)
 selected with --config; command-line flags override file values; unknown
-keys are rejected. The DELTASUM_OUT_DIR environment variable redirects
-relative output paths.
+keys are rejected. Flags and file values are both kept as strings and each
+value is parsed once, after the merge, so a bad value gives the same
+one-line error from either source. The DELTASUM_OUT_DIR environment
+variable redirects relative output paths.
 """
 
 from __future__ import annotations
@@ -136,8 +138,10 @@ def _read_config(path: str) -> dict[str, str]:
 
 
 def _resolve_params(command: Command, args: argparse.Namespace) -> dict[str, object]:
+    """Config-file values overridden by flags, each raw string parsed once
+    by its Param, so a bad value gives the same error from either source."""
     schema = {p.name: p for p in command.params}
-    values: dict[str, object] = {}
+    raw_values: dict[str, str] = {}
     if args.config:
         for key, raw in _read_config(args.config).items():
             if key == "out":
@@ -146,15 +150,17 @@ def _resolve_params(command: Command, args: argparse.Namespace) -> dict[str, obj
                 continue
             if key not in schema:
                 raise ConfigError(f"unknown key {key!r} for command {command.name!r}")
-            values[key] = schema[key].parse(raw)
+            raw_values[key] = raw
+    for name in schema:
+        if getattr(args, name, None) is not None:
+            raw_values[name] = getattr(args, name)
+    values: dict[str, object] = {}
     for name, param in schema.items():
-        cli_value = getattr(args, name, None)
-        if cli_value is not None:
-            values[name] = cli_value
-    for name, param in schema.items():
-        if name not in values:
-            if param.required:
-                raise ConfigError(f"missing required parameter {name!r}")
+        if name in raw_values:
+            values[name] = param.parse(raw_values[name])
+        elif param.required:
+            raise ConfigError(f"missing required parameter {name!r}")
+        else:
             values[name] = param.default
     return values
 
@@ -193,17 +199,15 @@ def _cmd_characters(p: dict) -> list[tuple]:
     Param("cmax", int, None, "sweep moduli 1..cmax (sweep mode)"),
     Param("samples", int, 5, "random (a, b) pairs per modulus in sweep mode"),
     Param("seed", int, 7, "seed for the sweep sampler"),
-    Param("crt", int, 0, "1 = use the factorization fast path"),
 )
 def _cmd_kloosterman(p: dict) -> list[tuple]:
-    use_crt = bool(p["crt"])
     rows = []
     if p["c"] is not None:
         if p["a"] is None or p["b"] is None:
             raise ConfigError("single-sum mode needs a, b and c")
         if p["c"] < 1:
             raise ConfigError("c must be positive")
-        v = kloosterman(p["a"], p["b"], p["c"], use_crt=use_crt)
+        v = kloosterman(p["a"], p["b"], p["c"])
         rows.append((v.a, v.b, v.c, v.value, v.weil_bound, abs(v.value) / v.weil_bound))
     elif p["cmax"] is not None:
         if p["cmax"] < 1 or p["samples"] < 1:
@@ -213,7 +217,7 @@ def _cmd_kloosterman(p: dict) -> list[tuple]:
             for _ in range(p["samples"]):
                 a = rng.randrange(-(10**6), 10**6)
                 b = rng.randrange(-(10**6), 10**6)
-                v = kloosterman(a, b, c, use_crt=use_crt)
+                v = kloosterman(a, b, c)
                 rows.append(
                     (v.a, v.b, v.c, v.value, v.weil_bound, abs(v.value) / v.weil_bound)
                 )
@@ -394,7 +398,6 @@ def _build_parser() -> argparse.ArgumentParser:
         for param in command.params:
             sp.add_argument(
                 f"--{param.name}",
-                type=param.parse,
                 default=None,
                 help=param.help + (" [required]" if param.required else ""),
             )
@@ -420,7 +423,8 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:  # ConfigError, validation gates, preconditions
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ArithmeticError as exc:  # CalibrationError, NumericalFailure, ...
+    # CalibrationError, NumericalFailure, ..., and a failed allocation
+    except (ArithmeticError, MemoryError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     text = _render_csv(command, rows)

@@ -25,6 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .arith import is_prime
+from .characters import additive_orthogonality_sum
 from .expsums import ramanujan_sum
 
 __all__ = [
@@ -456,7 +457,6 @@ class DeltaScheme:
     q_scale: float
     level: int
     bump: SmoothBump
-    c_q: float | None = None
     raw_zero: float | None = None
 
     def __post_init__(self):
@@ -468,6 +468,11 @@ class DeltaScheme:
     @property
     def is_calibrated(self) -> bool:
         return self.raw_zero is not None
+
+    @property
+    def c_q(self) -> float:
+        """The calibration constant c_Q = 1 / raw_zero."""
+        return 1.0 / self.raw_zero
 
     def q_max(self, n: int) -> int:
         """Largest modulus with a nonzero weight for this n."""
@@ -504,13 +509,14 @@ def calibrate(scheme: DeltaScheme) -> DeltaScheme:
     raw = _raw_plain_zero(scheme)
     if raw < 1e-3:
         raise CalibrationError(f"raw decomposition at n = 0 is {raw}; bump unusable")
-    c_q = 1.0 / raw
+    calibrated = replace(scheme, raw_zero=raw)
     window = 1.0 / scheme.q_scale
-    if not (1.0 - window <= c_q <= 1.0 + window):
+    if not (1.0 - window <= calibrated.c_q <= 1.0 + window):
         raise CalibrationError(
-            f"calibration constant {c_q} outside sanity window for Q = {scheme.q_scale}"
+            f"calibration constant {calibrated.c_q} outside sanity window "
+            f"for Q = {scheme.q_scale}"
         )
-    return replace(scheme, c_q=c_q, raw_zero=raw)
+    return calibrated
 
 
 def _row_sums(terms: np.ndarray, scale: float, scheme: DeltaScheme, shape: tuple):
@@ -556,20 +562,11 @@ def _coprime_residues(q: int) -> tuple[int, ...]:
     return tuple(a for a in range(q) if math.gcd(a, q) == 1)
 
 
-def _b_sum(n: int, level: int) -> complex:
-    """sum_{b mod P} e(n b / P), real and imaginary parts exactly rounded."""
-    roots = _unit_roots(level)
-    return complex(
-        math.fsum(roots[n * b % level].real for b in range(level)),
-        math.fsum(roots[n * b % level].imag for b in range(level)),
-    )
-
-
 def congruence_average(n: int, level: int) -> complex:
     """(1/P) sum_{b mod P} e(n b / P): exactly 1 when P | n, 0 otherwise
     up to roundoff. This is the b-average that enforces the congruence in
     the conductor-lowered scheme."""
-    return _b_sum(n, level) / level
+    return additive_orthogonality_sum(level, n, 0) / level
 
 
 def delta_decompose_lowered(n, scheme: DeltaScheme):
@@ -591,7 +588,7 @@ def delta_decompose_lowered(n, scheme: DeltaScheme):
     ns = np.asarray(n, dtype=np.int64)
     flat = np.abs(ns.ravel())
     ys = flat / (level * q_scale * q_scale)
-    b_sums = [_b_sum(m, level) for m in flat.tolist()]
+    b_sums = [additive_orthogonality_sum(level, m, 0) for m in flat.tolist()]
     terms = np.zeros((flat.size, scheme.q_max(int(flat.max(initial=0)))))
     for q in range(1, terms.shape[1] + 1):
         gvals = delta_weight_array(q / q_scale, ys, scheme.bump)

@@ -26,33 +26,22 @@ exponents) runs over the sparse nonzero terms of the Euler factor.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-import numpy as np
-
-from .arith import divisors, is_prime, tau
+from .arith import divisors, tau
 
 __all__ = [
-    "FormValidationError",
     "InsufficientCoefficients",
     "Newform",
-    "TwistedCoefficients",
     "builtin_form",
     "BUILTIN_FORM_IDS",
     "deligne_ok",
     "eta_product_series",
     "hecke_residual_exact",
-    "load_form_csv",
-    "twist",
 ]
-
-
-class FormValidationError(ValueError):
-    """External coefficient data failed the Deligne/Hecke validation gate."""
 
 
 class InsufficientCoefficients(ValueError):
@@ -243,87 +232,3 @@ def hecke_residual_exact(f: Newform, m: int, n: int) -> int:
 def deligne_ok(f: Newform, n: int) -> bool:
     """Exact check of |a(n)| <= tau(n) n^((k-1)/2), squared to stay integral."""
     return f.a(n) ** 2 <= tau(n) ** 2 * n ** (f.weight - 1)
-
-
-@dataclass(frozen=True)
-class TwistedCoefficients:
-    """chi(n) lambda(n) for n up to the requested bound."""
-
-    form: Newform
-    character: object
-    values: tuple[complex, ...]  # index n; entry 0 unused
-
-
-def twist(f: Newform, chi, bound: int) -> TwistedCoefficients:
-    """Componentwise twist; requires gcd(level, modulus) = 1."""
-    if gcd(f.level, chi.modulus) != 1:
-        raise ValueError("level and character modulus must be coprime")
-    if bound > f.bound:
-        raise InsufficientCoefficients(
-            f"twist bound {bound} beyond stored coefficients {f.bound}"
-        )
-    ns = np.arange(1, bound + 1)
-    lam = np.array([f.lam(n) for n in ns.tolist()])
-    return TwistedCoefficients(f, chi, (0j, *(chi.values(ns) * lam).tolist()))
-
-
-def _validate(form: Newform, check_bound: int = 2000) -> None:
-    top = min(form.bound, check_bound)
-    if form.level != 1 and not is_prime(form.level):
-        raise FormValidationError(f"level {form.level} is neither 1 nor prime")
-    if form.weight < 2 or form.weight % 2:
-        raise FormValidationError(f"weight {form.weight} is not a positive even integer")
-    if form.a(1) != 1:
-        raise FormValidationError("a(1) != 1")
-    for n in range(1, top + 1):
-        if not deligne_ok(form, n):
-            raise FormValidationError(f"coefficient bound fails at n = {n}")
-    for m in range(2, top + 1):
-        for n in range(2, top // m + 1):
-            if gcd(n, form.level) != 1:
-                continue
-            if hecke_residual_exact(form, m, n) != 0:
-                raise FormValidationError(f"Hecke relation fails at (m, n) = ({m}, {n})")
-
-
-def load_form_csv(path) -> Newform:
-    """Ingest external coefficients: header `level,weight`, rows `n,a_n`.
-
-    The data must cover n = 1..N contiguously and pass the same Deligne and
-    Hecke checks applied to the built-in forms before it is accepted.
-    """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise FormValidationError("empty file") from None
-        if [h.strip() for h in header] != ["level", "weight"]:
-            raise FormValidationError("first line must be the header 'level,weight'")
-        try:
-            level_s, weight_s = next(reader)
-            level, weight = int(level_s), int(weight_s)
-        except (StopIteration, ValueError):
-            raise FormValidationError("second line must hold integer level,weight") from None
-        entries: dict[int, int] = {}
-        for row in reader:
-            if not row:
-                continue
-            try:
-                n, a_n = int(row[0]), int(row[1])
-            except (ValueError, IndexError):
-                raise FormValidationError(f"bad coefficient row {row!r}") from None
-            if n < 1 or n in entries:
-                raise FormValidationError(f"bad or duplicate index {n}")
-            entries[n] = a_n
-    if not entries:
-        raise FormValidationError("no coefficient rows")
-    top = max(entries)
-    if sorted(entries) != list(range(1, top + 1)):
-        raise FormValidationError("coefficients must cover n = 1..N contiguously")
-    coeffs = [0] * (top + 1)
-    for n, a_n in entries.items():
-        coeffs[n] = a_n
-    form = Newform(f"external_{level}_{weight}", level, weight, tuple(coeffs))
-    _validate(form)
-    return form

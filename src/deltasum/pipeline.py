@@ -150,11 +150,6 @@ class ShiftedSumSpec:
         )
         return nx, ny
 
-    def is_empty(self) -> bool:
-        nx, ny = self.supports()
-        shift = self.r * self.shift_modulus
-        return not nx or not ny or nx.start + shift >= ny.stop or nx.stop + shift <= ny.start
-
 
 @dataclass(frozen=True)
 class SumReport:
@@ -210,18 +205,13 @@ def _pair_amplitudes(spec: ShiftedSumSpec) -> tuple[np.ndarray, np.ndarray]:
     the decomposition depend on (n, m) only through t.  A is the
     correlation of the n- and m-weights, so it takes O(X) memory.
     """
-    nx, ny = spec.supports()
-    if not nx or not ny:
+    ns, w1 = _lam_window(spec.f1, spec.x_scale, spec.window.fx)
+    ms, w2 = _lam_window(spec.f2, spec.y_scale, spec.window.fy)
+    if not ns.size or not ms.size:
         return np.zeros(0, dtype=np.int64), np.zeros(0)
-    w1 = np.array(
-        [spec.f1.lam(n) / math.sqrt(n) * spec.window.fx(n / spec.x_scale) for n in nx]
-    )
-    w2 = np.array(
-        [spec.f2.lam(m) / math.sqrt(m) * spec.window.fy(m / spec.y_scale) for m in ny]
-    )
     amps = np.correlate(w1, w2, "full")
-    base = nx.start - ny.start + spec.r * spec.shift_modulus
-    ts = np.arange(base - (len(ny) - 1), base + len(nx), dtype=np.int64)
+    base = int(ns[0] - ms[0]) + spec.r * spec.shift_modulus
+    ts = np.arange(base - (ms.size - 1), base + ns.size, dtype=np.int64)
     keep = amps != 0.0
     return ts[keep], amps[keep]
 
@@ -280,18 +270,12 @@ def shifted_sum_bound(spec: ShiftedSumSpec) -> float:
     )
 
 
-def shifted_sum_delta(
-    spec: ShiftedSumSpec, scheme: DeltaScheme | None = None
-) -> SumReport:
-    """Evaluate the shifted sum through the conductor-lowered decomposition
-    and stratify it; the direct value and partition identity are checked
-    against the SumReport tolerances."""
-    if scheme is None:
-        scheme = calibrate(DeltaScheme(spec.q_scale, spec.level, default_delta_bump()))
-    if scheme.level != spec.level:
-        raise ValueError("scheme level does not match the sum parameters")
-    if not scheme.is_calibrated:
-        raise ValueError("scheme must be calibrated")
+def shifted_sum_delta(spec: ShiftedSumSpec) -> SumReport:
+    """Evaluate the shifted sum through the conductor-lowered decomposition,
+    with the default bump calibrated at the spec's Q and level, and stratify
+    it; the direct value and partition identity are checked against the
+    SumReport tolerances."""
+    scheme = calibrate(DeltaScheme(spec.q_scale, spec.level, default_delta_bump()))
     direct = shifted_sum_direct(spec)
     bound = shifted_sum_bound(spec)
     ts, amps = _pair_amplitudes(spec)
@@ -483,7 +467,6 @@ def verify_voronoi(
     a: int,
     q: int,
     h: SmoothBump,
-    h2: SmoothBump | None = None,
     truncation_tol: float = 1e-12,
 ) -> VoronoiReport:
     """Solve for the unit phase in the dual-summation identity and
@@ -491,18 +474,15 @@ def verify_voronoi(
 
     lhs = sum lam(n) e(n a / q) h(n) is matched against the dual side with
     the hypothesis that the dual form equals f; eta = lhs / dual. The
-    residual is |lhs2 - eta * dual2| / |lhs2| for the second test function.
+    residual is |lhs2 - eta * dual2| / |lhs2| for the second test function
+    h2, a peak-normalised bump on the support of h with 1.7 times its
+    sharpness; both dual sums come from one _dual_side pass.
     """
     if gcd(a, q) != 1:
         raise ValueError("a and q must be coprime")
-    if h2 is None:
-        h2 = SmoothBump(h.lo, h.hi, sharpness=h.sharpness * 1.7, normalization="peak")
+    h2 = SmoothBump(h.lo, h.hi, sharpness=h.sharpness * 1.7, normalization="peak")
     lhs = _twisted_partial_sum(f, a, q, h)
-    if (h2.lo, h2.hi) == (h.lo, h.hi):
-        (dual, used), (dual2, used2) = _dual_side(f, a, q, (h, h2), truncation_tol)
-    else:
-        [(dual, used)] = _dual_side(f, a, q, (h,), truncation_tol)
-        [(dual2, used2)] = _dual_side(f, a, q, (h2,), truncation_tol)
+    (dual, used), (dual2, used2) = _dual_side(f, a, q, (h, h2), truncation_tol)
     if abs(dual) <= 1e-8 and abs(lhs) <= 1e-8:
         raise Inconclusive(
             f"both sides below 1e-8 (|lhs|={abs(lhs)}, |dual|={abs(dual)}); "

@@ -140,6 +140,37 @@ def test_parameter_validation(capsys):
     assert "coprime" in err
 
 
+@pytest.mark.parametrize(
+    "command,key,value",
+    [("exponent", "eta", "abc"), ("voronoi", "form", "nope"), ("delta", "Q", "x")],
+)
+def test_bad_value_gives_one_error_line(command, key, value, tmp_path, capsys):
+    """A bad flag value exits 2 with the same one-line error as the same
+    value read from a config file."""
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    errors = []
+    for argv in ([command, f"--{key}", value], ["--config", str(cfg), command]):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors.append(captured.err)
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("error: ") and errors[0].count("\n") == 1
+
+
+def test_memory_error_exit_status(monkeypatch, capsys):
+    def fail(a, b, c):
+        raise MemoryError("unit table of 2147483646 entries")
+
+    monkeypatch.setattr(cli, "kloosterman", fail)
+    status = cli.main(["kloosterman", "--c", "2147483647", "--a", "1", "--b", "1"])
+    captured = capsys.readouterr()
+    assert status == 3
+    assert captured.out == ""
+    assert captured.err == "error: MemoryError: unit table of 2147483646 entries\n"
+
+
 def test_out_file_and_env_dir(tmp_path, monkeypatch):
     monkeypatch.setenv("DELTASUM_OUT_DIR", str(tmp_path))
     status = cli.main(["exponent", "--eta", "2/5", "--out", "sub/table.csv"])

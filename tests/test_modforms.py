@@ -5,7 +5,6 @@ import random
 import pytest
 
 from deltasum import modforms, verify
-from deltasum.characters import enumerate_characters
 
 
 def _pentagonal_eta_power(power, scale, bound):
@@ -216,58 +215,3 @@ def test_hecke_residual_examples(all_forms):
 def test_level_coefficient_square():
     row = verify.check_level_coefficient()
     assert row.status == "MONITOR", row.detail
-
-
-def test_twist_examples(level11_form):
-    principal = enumerate_characters(1)[0]
-    tw = modforms.twist(level11_form, principal, 50)
-    for n in range(1, 51):
-        assert tw.values[n] == pytest.approx(level11_form.lam(n))
-    chi = next(c for c in enumerate_characters(3) if not c.is_principal)
-    tw3 = modforms.twist(level11_form, chi, 50)
-    for n in range(1, 51):
-        if n % 3 == 0:
-            assert tw3.values[n] == 0
-        else:
-            assert tw3.values[n] == pytest.approx(chi(n) * level11_form.lam(n))
-
-
-def test_twist_rejects_shared_level():
-    f = modforms.builtin_form("E2_11_2")
-    chi = enumerate_characters(11)[1]
-    with pytest.raises(ValueError):
-        modforms.twist(f, chi, 10)
-
-
-def test_csv_ingestion_roundtrip(tmp_path, level11_form):
-    path = tmp_path / "form.csv"
-    rows = ["level,weight", "11,2"]
-    rows += [f"{n},{level11_form.a(n)}" for n in range(1, 201)]
-    path.write_text("\n".join(rows) + "\n")
-    loaded = modforms.load_form_csv(path)
-    assert loaded.level == 11 and loaded.weight == 2
-    assert loaded.coefficients == level11_form.coefficients[:201]
-
-
-def test_csv_ingestion_rejects_bad_coefficients(tmp_path, level11_form):
-    path = tmp_path / "bad.csv"
-    rows = ["level,weight", "11,2"]
-    rows += [f"{n},{level11_form.a(n)}" for n in range(1, 100)]
-    rows[5] = "4,999999"  # breaks both Deligne and Hecke
-    path.write_text("\n".join(rows) + "\n")
-    with pytest.raises(modforms.FormValidationError):
-        modforms.load_form_csv(path)
-
-
-def test_csv_ingestion_rejects_gaps(tmp_path):
-    path = tmp_path / "gap.csv"
-    path.write_text("level,weight\n11,2\n1,1\n3,-1\n")
-    with pytest.raises(modforms.FormValidationError):
-        modforms.load_form_csv(path)
-
-
-def test_csv_ingestion_rejects_composite_level(tmp_path):
-    path = tmp_path / "lvl.csv"
-    path.write_text("level,weight\n12,2\n1,1\n")
-    with pytest.raises(modforms.FormValidationError):
-        modforms.load_form_csv(path)

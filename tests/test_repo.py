@@ -1,5 +1,6 @@
 """Repository hygiene."""
 
+import ast
 import importlib
 import importlib.util
 import shutil
@@ -96,3 +97,64 @@ def test_registry_names_and_order():
     from deltasum import verify
 
     assert tuple(name for name, _ in verify.REGISTRY) == _REGISTRY_NAMES
+
+
+def _trees():
+    paths = sorted((ROOT / "src" / "deltasum").glob("*.py"))
+    paths += sorted((ROOT / "perfbench").glob("*.py"))
+    return {path: ast.parse(path.read_text()) for path in paths}
+
+
+def _uses(trees, kinds):
+    """identifier -> [(path, line)] for every node of the given kinds."""
+    uses = {}
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, kinds):
+                ident = node.id if isinstance(node, ast.Name) else node.attr
+                uses.setdefault(ident, []).append((path, node.lineno))
+    return uses
+
+
+def _used_outside(uses, ident, path, node):
+    return any(
+        p != path or not node.lineno <= line <= node.end_lineno
+        for p, line in uses.get(ident, ())
+    )
+
+
+def test_every_public_name_and_method_is_reached():
+    """Every name a module exports and every method or property of a class
+    in src/ is used somewhere in src/ or perfbench/ outside its own
+    definition; a name that only tests call is code no pipeline reaches.
+    Methods match attributes only, never local variables of the same name."""
+    trees = _trees()
+    names = _uses(trees, (ast.Name, ast.Attribute))
+    attributes = _uses(trees, ast.Attribute)
+    unreached = []
+    for path, tree in trees.items():
+        module = path.relative_to(ROOT).as_posix()
+        defs = {}
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs[node.name] = node
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    if isinstance(target, ast.Name):
+                        defs[target.id] = node
+        exported = defs.get("__all__")
+        for ident in ast.literal_eval(exported.value) if exported else ():
+            if not _used_outside(names, ident, path, defs[ident]):
+                unreached.append(f"{module}: {ident}")
+        if path.parent.name != "deltasum":
+            continue
+        for cls in (n for n in tree.body if isinstance(n, ast.ClassDef)):
+            for node in cls.body:
+                if not isinstance(node, ast.FunctionDef):
+                    continue
+                if node.name.startswith("__") and node.name.endswith("__"):
+                    continue
+                if not _used_outside(attributes, node.name, path, node):
+                    unreached.append(f"{module}: {cls.name}.{node.name}")
+    assert not unreached, unreached
