@@ -10,8 +10,10 @@ Numerical conventions, fixed for reproducibility:
 - the decomposition value is the raw sum divided by the raw sum at n = 0;
   at n = 0 the raw sum has exactly the terms of the calibration sum, so the
   anchor is exact;
-- adaptive quadrature subdivides depth first, left first, so results do not
-  depend on scheduling.
+- adaptive quadrature subdivides one generation of panels at a time; each
+  panel's accept-or-split decision depends on that panel alone, so the
+  panel tree, and with math.fsum the total, do not depend on the order in
+  which panels are evaluated.
 """
 
 from __future__ import annotations
@@ -413,6 +415,10 @@ def bessel_j_array(order: int, xs: np.ndarray) -> np.ndarray:
 # The delta-symbol weight and decomposition
 # ---------------------------------------------------------------------------
 
+# relative widening of the bump's support when bisecting for the band of
+# |y| it can reach: far above the few ulps a quotient |y| / (x j) can move
+_BAND_MARGIN = 1e-9
+
 
 def delta_weight_array(x: float, ys: np.ndarray, bump: SmoothBump) -> np.ndarray:
     """g(x, y) = sum_{j >= 1} (x j)^-1 (w(x j) - w(|y| / (x j))) at one
@@ -427,6 +433,13 @@ def delta_weight_array(x: float, ys: np.ndarray, bump: SmoothBump) -> np.ndarray
     Accuracy contract, tested against mpmath at 30 digits with the bump's
     own scale, for x in [0.02, 3], |y| <= 3 and sharpness 0.25, 0.5 and 1:
     x |g - g_exact| <= 1e-14.
+
+    |y| is sorted once, and for each j w(|y| / (x j)) is evaluated only on
+    the band of |y| in (lo x j, hi x j): the bump's support (lo, hi),
+    widened by a relative _BAND_MARGIN, bisected in the sorted |y|.  The
+    bump's own strict test still decides membership.  Off the band the term
+    is (w(x j) - 0) / x j, added only when it is nonzero, so every element
+    sees the same sequence of adds as in a pass over the whole array.
     """
     if x <= 0:
         raise ValueError("x must be positive")
@@ -435,12 +448,26 @@ def delta_weight_array(x: float, ys: np.ndarray, bump: SmoothBump) -> np.ndarray
     if x > max(1.0, 2.0 * y_top):
         return np.zeros_like(ys_abs)
     j_max = int(math.ceil(max(1.0, 2.0 * y_top) / x))
-    acc = np.zeros_like(ys_abs)
+    # the sum runs over |y| in ascending order, so each band is a slice
+    order = np.argsort(ys_abs, axis=None)
+    ordered = ys_abs.ravel()[order]
+    margin = _BAND_MARGIN * max(abs(bump.lo), abs(bump.hi))
+    edges = np.array([bump.lo - margin, bump.hi + margin])
+    acc = np.zeros_like(ordered)
     for j in range(1, j_max + 1):
         xj = x * j
-        acc += (bump(xj) - bump.value_array(ys_abs / xj)) / xj
-    acc[x > np.maximum(1.0, 2.0 * ys_abs)] = 0.0
-    return acc
+        w_xj = bump(xj)
+        start, stop = np.searchsorted(ordered, edges * xj).tolist()
+        if w_xj:
+            # w(|y| / x j) = 0 off the band
+            acc[:start] += w_xj / xj
+            acc[stop:] += w_xj / xj
+        if start < stop:
+            acc[start:stop] += (w_xj - bump.value_array(ordered[start:stop] / xj)) / xj
+    acc[x > np.maximum(1.0, 2.0 * ordered)] = 0.0
+    out = np.empty_like(acc)
+    out[order] = acc
+    return out.reshape(ys_abs.shape)
 
 
 @dataclass(frozen=True)
@@ -654,27 +681,43 @@ def truncation_ranges(
     return t1, t2
 
 
-def _panel_value(
-    x0, x1, y0, y1, a, b, order, g_x_arg, shift, p_q2, window, x_scale, y_scale, bump
+# panels evaluated together: their 15 x 15 meshes hold about _CHUNK elements
+_PANELS_PER_PASS = max(1, _CHUNK // _K_NODES.size**2)
+
+
+def _panel_rules(
+    panels, a, b, order, g_x_arg, shift, p_q2, window, x_scale, y_scale, bump
 ):
-    """GK15 x GK15 tensor rule on one panel; returns (kronrod, |k - gauss|)."""
+    """GK15 x GK15 tensor rule on each row (x0, x1, y0, y1) of panels;
+    returns the Kronrod values and the estimates |kronrod - gauss| as lists.
+    Every array step is elementwise, so a panel's numbers do not depend on
+    the other panels of the call."""
+    x0, x1, y0, y1 = panels.T
     hx = 0.5 * (x1 - x0)
     hy = 0.5 * (y1 - y0)
-    xs = 0.5 * (x1 + x0) + hx * _K_NODES
-    ys = 0.5 * (y1 + y0) + hy * _K_NODES
+    xs = (0.5 * (x1 + x0))[:, None] + hx[:, None] * _K_NODES
+    ys = (0.5 * (y1 + y0))[:, None] + hy[:, None] * _K_NODES
     fx = window.fx.value_array(xs / x_scale)
     fy = window.fy.value_array(ys / y_scale)
     jx = bessel_j_array(order, 4.0 * math.pi * a * np.sqrt(xs))
     jy = bessel_j_array(order, 4.0 * math.pi * b * np.sqrt(ys))
     col = fx * jx / np.sqrt(xs)
     row = fy * jy / np.sqrt(ys)
-    mesh = np.subtract.outer(xs, ys) + shift
-    gvals = delta_weight_array(g_x_arg, mesh.ravel() / p_q2, bump).reshape(mesh.shape)
-    integrand = np.outer(col, row) * gvals
-    k_val = hx * hy * float(_K_WEIGHTS @ integrand @ _K_WEIGHTS)
-    sub = integrand[np.ix_(_G_INDEX, _G_INDEX)]
-    g_val = hx * hy * float(_G_WEIGHTS @ sub @ _G_WEIGHTS)
-    return k_val, abs(k_val - g_val)
+    mesh = xs[:, :, None] - ys[:, None, :] + shift
+    gvals = delta_weight_array(g_x_arg, mesh / p_q2, bump)
+    integrand = col[:, :, None] * row[:, None, :] * gvals
+    # C order, as the one-panel meshes had: matmul's order of adds follows
+    # the strides, and fancy indexing leaves the panel axis innermost
+    gauss = integrand[:, _G_INDEX][:, :, _G_INDEX].copy()
+    values: list[float] = []
+    errors: list[float] = []
+    # one panel at a time: a stacked matmul adds in another order
+    for hxi, hyi, k_mesh, g_mesh in zip(hx.tolist(), hy.tolist(), integrand, gauss):
+        k_val = hxi * hyi * float(_K_WEIGHTS @ k_mesh @ _K_WEIGHTS)
+        g_val = hxi * hyi * float(_G_WEIGHTS @ g_mesh @ _G_WEIGHTS)
+        values.append(k_val)
+        errors.append(abs(k_val - g_val))
+    return values, errors
 
 
 def double_bessel_integral(
@@ -699,7 +742,19 @@ def double_bessel_integral(
     J_order(4 pi b sqrt(y)) over the support box of F.
 
     Adaptive tensor Gauss-Kronrod with oscillation-aware pre-splitting at
-    the Bessel zero spacing; subdivision is depth first, left first.
+    the Bessel zero spacing.  Subdivision goes one generation at a time:
+    every panel of a depth is evaluated together, in passes of at most
+    _PANELS_PER_PASS panels; a panel within its share of abs_tol (or at
+    max_depth) is accepted, and each other panel splits into four for the
+    next depth.  A panel's accept-or-split decision depends on that panel
+    alone, so the tree of panels is the same in any traversal order, and
+    the exactly rounded math.fsum makes the total independent of order too.
+
+    NumericalFailure is raised when the tree would hold more than
+    max_panels panels, before any panel past the budget is evaluated, or
+    when the accepted errors add up to more than abs_tol.  For a budget
+    overflow its value and error_estimate cover the accepted panels and
+    the unresolved frontier (NaN and inf before the first generation).
     """
     if a <= 0 or b <= 0:
         raise ValueError("a and b must be positive")
@@ -722,38 +777,50 @@ def double_bessel_integral(
     ex = initial_edges(x_lo, x_hi, a, x_scale)
     ey = initial_edges(y_lo, y_hi, b, y_scale)
     area = (x_hi - x_lo) * (y_hi - y_lo)
-    stack = []
-    for i in range(len(ex) - 1, 0, -1):
-        for j in range(len(ey) - 1, 0, -1):
-            stack.append((ex[i - 1], ex[i], ey[j - 1], ey[j], 0))
+    generation = np.array(
+        [(x0, x1, y0, y1) for x0, x1 in zip(ex, ex[1:]) for y0, y1 in zip(ey, ey[1:])]
+    )
     pieces: list[float] = []
     errs: list[float] = []
+    # the unresolved frontier: the box itself until a generation is evaluated
+    open_vals, open_errs = [math.nan], [math.inf]
     n_panels = 0
-    overflow = False
-    while stack:
-        x0, x1, y0, y1, depth = stack.pop()
-        n_panels += 1
-        if n_panels > max_panels:
-            overflow = True
-            break
-        val, err = _panel_value(
-            x0, x1, y0, y1, a, b, order, g_x_arg, r_shift, p_q2, window,
-            x_scale, y_scale, bump,
-        )
-        local_tol = abs_tol * max((x1 - x0) * (y1 - y0) / area, 1e-16)
-        if err <= local_tol or depth >= max_depth:
-            pieces.append(val)
-            errs.append(err)
-        else:
-            xm = 0.5 * (x0 + x1)
-            ym = 0.5 * (y0 + y1)
-            stack.append((xm, x1, ym, y1, depth + 1))
-            stack.append((xm, x1, y0, ym, depth + 1))
-            stack.append((x0, xm, ym, y1, depth + 1))
-            stack.append((x0, xm, y0, ym, depth + 1))
+    depth = 0
+    while generation.size:
+        if n_panels + len(generation) > max_panels:
+            value = math.fsum(pieces + open_vals)
+            err_total = math.fsum(errs + open_errs)
+            raise NumericalFailure(
+                f"quadrature panel budget of {max_panels} exhausted at error "
+                f"{err_total} (tolerance {abs_tol})",
+                value,
+                err_total,
+            )
+        n_panels += len(generation)
+        vals, ests = [], []
+        for start in range(0, len(generation), _PANELS_PER_PASS):
+            v, e = _panel_rules(
+                generation[start : start + _PANELS_PER_PASS], a, b, order, g_x_arg,
+                r_shift, p_q2, window, x_scale, y_scale, bump,
+            )
+            vals += v
+            ests += e
+        x0, x1, y0, y1 = generation.T
+        local_tol = abs_tol * np.maximum((x1 - x0) * (y1 - y0) / area, 1e-16)
+        vals, ests = np.array(vals), np.array(ests)
+        done = (ests <= local_tol) | (depth >= max_depth)
+        pieces += vals[done].tolist()
+        errs += ests[done].tolist()
+        open_vals, open_errs = vals[~done].tolist(), ests[~done].tolist()
+        x0, x1, y0, y1 = generation[~done].T
+        xm = 0.5 * (x0 + x1)
+        ym = 0.5 * (y0 + y1)
+        quads = [(x0, xm, y0, ym), (x0, xm, ym, y1), (xm, x1, y0, ym), (xm, x1, ym, y1)]
+        generation = np.array(quads).transpose(2, 0, 1).reshape(-1, 4)
+        depth += 1
     value = math.fsum(pieces)
     err_total = math.fsum(errs)
-    if overflow or err_total > abs_tol:
+    if err_total > abs_tol:
         raise NumericalFailure(
             f"quadrature stalled at error {err_total} (tolerance {abs_tol})",
             value,

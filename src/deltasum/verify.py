@@ -560,11 +560,16 @@ def _riemann_reference(a, b, c, q, q_cap_v, level, r_shift, xs_, ys_, window, or
     col = fx * jx / np.sqrt(xs)
     row = fy * jy / np.sqrt(ys)
     tot = 0.0
-    for i, x in enumerate(xs):
+    # the weight of a block of grid rows in one call; one dot per row
+    block = max(1, kernels._CHUNK // n)
+    for start in range(0, n, block):
         g = kernels.delta_weight_array(
-            q * c / q_cap_v, (x - ys + r_shift) / (level * q_cap_v**2), bump
+            q * c / q_cap_v,
+            (xs[start : start + block, None] - ys + r_shift) / (level * q_cap_v**2),
+            bump,
         )
-        tot += col[i] * float(np.dot(g, row))
+        for i, g_row in enumerate(g, start):
+            tot += col[i] * float(np.dot(g_row, row))
     return tot * (2 * xs_ / n) * (2 * ys_ / n)
 
 

@@ -1,7 +1,11 @@
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from deltasum import kernels, verify
 from deltasum.pipeline import default_delta_bump, default_window
@@ -201,6 +205,60 @@ def test_weight_array_matches_mpmath():
     assert worst <= 1e-14, worst
 
 
+def _delta_weight_full_pass(x, ys, bump):
+    """delta_weight_array as one pass over the whole array per j."""
+    ys_abs = np.abs(np.asarray(ys, dtype=float))
+    y_top = float(ys_abs.max()) if ys_abs.size else 0.0
+    if x > max(1.0, 2.0 * y_top):
+        return np.zeros_like(ys_abs)
+    j_max = int(math.ceil(max(1.0, 2.0 * y_top) / x))
+    acc = np.zeros_like(ys_abs)
+    for j in range(1, j_max + 1):
+        xj = x * j
+        acc += (bump(xj) - bump.value_array(ys_abs / xj)) / xj
+    acc[x > np.maximum(1.0, 2.0 * ys_abs)] = 0.0
+    return acc
+
+
+_WEIGHT_BUMPS = {s: default_delta_bump(s) for s in (0.25, 0.5, 1.0)}
+
+
+@st.composite
+def _weight_inputs(draw):
+    bump = _WEIGHT_BUMPS[draw(st.sampled_from(sorted(_WEIGHT_BUMPS)))]
+    x = draw(st.floats(0.02, 3.0))
+    ys = draw(st.lists(st.floats(-3.0, 3.0), max_size=30))
+    # points on the edges of some j's band, a float step off them, and a
+    # little inside or outside, where w is tiny but not 0
+    j_top = int(math.ceil(6.0 / x))
+    for j in draw(st.lists(st.integers(1, j_top), max_size=6)):
+        for edge in (bump.lo * (x * j), bump.hi * (x * j)):
+            offset = draw(st.sampled_from((-1e-2, -1e-3, 1e-3, 1e-2)))
+            near = (np.nextafter(edge, 0.0), edge, np.nextafter(edge, 4.0), edge * (1 + offset))
+            for y in near:
+                if y <= 3.0:
+                    ys.append(draw(st.sampled_from((1.0, -1.0))) * float(y))
+    ys = np.array(ys, dtype=float)
+    if ys.size % 2 == 0 and draw(st.booleans()):
+        ys = ys.reshape(2, -1)
+    return x, ys, bump
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(_weight_inputs())
+@example((0.3, np.zeros(0), _WEIGHT_BUMPS[0.5]))
+@example((0.3, np.zeros(7), _WEIGHT_BUMPS[0.25]))
+@example((0.02, np.linspace(-3.0, 3.0, 12).reshape(3, 4), _WEIGHT_BUMPS[1.0]))
+def test_weight_array_matches_full_pass(case):
+    """The band-limited j-loop adds exactly the terms of a pass over the
+    whole array, in the same order: bitwise equal, shape kept."""
+    x, ys, bump = case
+    got = kernels.delta_weight_array(x, ys, bump)
+    want = _delta_weight_full_pass(x, ys, bump)
+    assert got.shape == want.shape == ys.shape
+    assert got.tobytes() == want.tobytes()
+
+
 def test_scheme_validation():
     with pytest.raises(ValueError):
         kernels.DeltaScheme(0.5, 1, default_delta_bump())
@@ -327,18 +385,97 @@ def test_double_integral_support_violation_zero():
 
 
 def test_double_integral_against_midpoint_grid():
-    w = default_delta_bump()
-    win = default_window()
-    a, b, c, q, q_cap_v, level, r_shift, xs_, ys_, order = (
-        0.8, 0.4, 1, 1, 6.0, 3, 1.0, 3.0, 3.0, 3,
+    row = verify.check_double_integral()
+    assert row.status == verify.PASS, row.detail
+
+
+def _quadrature_parameter_sets():
+    """The 33 calls of the two verify-all double-integral checks: the five
+    _J_CASES, the support-violation zero and the 3 x 3 x 3 envelope grid."""
+    sets = list(verify._J_CASES)
+    sets.append((0.5, 0.5, 4, 9, 6.0, 1, 0.0, 3.0, 3.0, 3))
+    for a in (0.3, 0.8, 1.6):
+        for b in (0.4, 1.0, 2.1):
+            for q in (1, 2, 3):
+                sets.append((a, b, 1, q, 9.0, 2, 1.5, 4.0, 4.0, 3))
+    return sets
+
+
+def _integral(params, **kwargs):
+    a, b, c, q, q_cap_v, level, r_shift, xs_, ys_, order = params
+    return kernels.double_bessel_integral(
+        a, b, c, q, q_cap_v, level, r_shift, xs_, ys_, default_window(), order,
+        default_delta_bump(), **kwargs,
     )
-    res = kernels.double_bessel_integral(
-        a, b, c, q, q_cap_v, level, r_shift, xs_, ys_, win, order, w
-    )
-    riemann = verify._riemann_reference(
-        a, b, c, q, q_cap_v, level, r_shift, xs_, ys_, win, order, w
-    )
-    assert abs(res.value - riemann) <= 3.0 * max(res.error_estimate, 1e-14)
+
+
+# sha256 of the repr of (value, error_estimate, panels), one line per
+# parameter set, as written by the depth-first panel-at-a-time quadrature
+_QUADRATURE_SHA256 = "cc88a9d68c152286437994c75f704f61306cce3fd1587ae1724705f4c61c027e"
+
+
+def test_double_integral_results_unchanged():
+    lines = []
+    for params in _quadrature_parameter_sets():
+        res = _integral(params)
+        lines.append(repr((res.value, res.error_estimate, res.panels)))
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == _QUADRATURE_SHA256
+
+
+def test_double_integral_budget_is_the_tree_size():
+    # _J_CASES[2] refines over several generations; the budget check is
+    # exact at the size of its panel tree
+    full = _integral(verify._J_CASES[2])
+    assert full.panels > 1 + 4 + 16
+    assert _integral(verify._J_CASES[2], max_panels=full.panels) == full
+    with pytest.raises(kernels.NumericalFailure, match="panel budget"):
+        _integral(verify._J_CASES[2], max_panels=full.panels - 1)
+
+
+def test_double_integral_budget_overflow_reports_frontier(monkeypatch):
+    evaluated = []
+    rules = kernels._panel_rules
+
+    def counting(panels, *args):
+        evaluated.append(len(panels))
+        return rules(panels, *args)
+
+    monkeypatch.setattr(kernels, "_panel_rules", counting)
+    # one initial panel, which must split: the tree outgrows 3 panels after
+    # the first generation, and the estimate is that panel's own
+    with pytest.raises(kernels.NumericalFailure, match="panel budget of 3 exhausted") as info:
+        kernels.double_bessel_integral(
+            2.0, 2.0, 1, 1, 8.0, 1, 1.0, 16.0, 16.0, default_window(), 11,
+            default_delta_bump(), abs_tol=1e-300, max_panels=3,
+        )
+    assert sum(evaluated) == 1
+    assert info.value.error_estimate > 0 and math.isfinite(info.value.value)
+    # a 48 x 48 initial grid over a budget of 10: nothing is evaluated
+    evaluated.clear()
+    with pytest.raises(kernels.NumericalFailure, match="panel budget of 10 exhausted") as info:
+        kernels.double_bessel_integral(
+            28.0, 28.0, 1, 1, 8.0, 1, 1.0, 4.0, 4.0, default_window(), 3,
+            default_delta_bump(), max_panels=10,
+        )
+    assert evaluated == []
+    assert math.isnan(info.value.value) and info.value.error_estimate == math.inf
+
+
+def test_double_integral_memory_is_bounded_by_the_pass():
+    """A 48 x 48 initial grid is one generation of 2304 panels; evaluated
+    _PANELS_PER_PASS panels at a time it peaks near 3 MB, where all of its
+    15 x 15 meshes at once would take tens of MB."""
+    tracemalloc.start()
+    try:
+        res = kernels.double_bessel_integral(
+            28.0, 28.0, 1, 1, 8.0, 1, 1.0, 4.0, 4.0, default_window(), 3,
+            default_delta_bump(), abs_tol=1.0, max_depth=0,
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.panels == 48 * 48
+    assert peak < 8 * 2**20, peak
 
 
 def test_double_integral_failure_reports_estimate():
