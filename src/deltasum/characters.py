@@ -38,7 +38,9 @@ class NotCoprime(ValueError):
     """Raised when an argument shares a factor with the modulus."""
 
 
+@lru_cache(maxsize=512)
 def _root_table(order: int) -> tuple[complex, ...]:
+    """e(k / order) for k = 0 .. order - 1, the one table of roots of unity."""
     return tuple(cmath.exp(2j * cmath.pi * k / order) for k in range(order))
 
 

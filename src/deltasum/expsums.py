@@ -33,11 +33,6 @@ __all__ = [
 
 _MAX_MODULUS = 1 << 31  # keeps the kernel's int64 products below 2^62
 
-# Near-integrality of the float value is only a meaningful smoke test for
-# small prime moduli (algebraic-integer values); the annotation is attached
-# whenever the value is within this distance of an integer.
-_NEAR_INT_TOL = 1e-6
-
 
 @dataclass(frozen=True)
 class KloostermanValue:
@@ -49,7 +44,6 @@ class KloostermanValue:
     value: float
     weil_bound: float
     imag_residual: float
-    nearest_int: int | None
 
 
 def weil_bound(a: int, b: int, c: int) -> float:
@@ -88,8 +82,6 @@ def kloosterman(a: int, b: int, c: int, use_crt: bool = False) -> KloostermanVal
         re, im = _crt_value(a, b, c)
     else:
         re, im = _brute_value(a, b, c)
-    nearest = round(re)
-    annotation = nearest if abs(re - nearest) <= _NEAR_INT_TOL else None
     return KloostermanValue(
         a=a,
         b=b,
@@ -97,7 +89,6 @@ def kloosterman(a: int, b: int, c: int, use_crt: bool = False) -> KloostermanVal
         value=re,
         weil_bound=weil_bound(a, b, c),
         imag_residual=abs(im),
-        nearest_int=annotation,
     )
 
 

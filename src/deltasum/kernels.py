@@ -18,7 +18,6 @@ Numerical conventions, fixed for reproducibility:
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -27,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .arith import is_prime
-from .characters import additive_orthogonality_sum
+from .characters import _root_table as _unit_roots, additive_orthogonality_sum
 from .expsums import ramanujan_sum
 
 __all__ = [
@@ -96,26 +95,29 @@ class SmoothBump:
             raise ValueError("sharpness must be positive")
         if self.normalization not in ("integral", "peak"):
             raise ValueError("normalization must be 'integral' or 'peak'")
+        # at scale 1.0 value_array is the unscaled template (1.0 * v == v)
+        object.__setattr__(self, "_scale", 1.0)
         object.__setattr__(self, "_scale", self._compute_scale())
-
-    def _template(self, x: float) -> float:
-        u = (x - self.lo) / (self.hi - self.lo)
-        if u <= 0.0 or u >= 1.0:
-            return 0.0
-        return math.exp(-self.sharpness / (u * (1.0 - u)))
 
     def _compute_scale(self) -> float:
         if self.normalization == "peak":
             return self.target / math.exp(-4.0 * self.sharpness)
-        integral, _ = _adaptive_gk_1d(self._template, self.lo, self.hi, 1e-13)
+        integral, _ = _adaptive_gk_1d(self.value_array, self.lo, self.hi, 1e-13)
         if integral <= 0:
             raise ValueError("degenerate bump")
         return self.target / integral
 
     def __call__(self, x: float) -> float:
-        return self._scale * self._template(x)
+        return float(self.value_array(x))
 
     def value_array(self, xs: np.ndarray) -> np.ndarray:
+        """w(x) elementwise; each value depends on x alone.
+
+        Accuracy contract, tested against mpmath at 30 digits for sharpness
+        0.25, 0.5 and 1, within 1e-12 of either edge too: |w - w_exact| <=
+        2 eps (1 + E) (1 + E/s) w_exact + scale 2^-1022, E = s / (u (1 - u)),
+        eps = 2^-53.  The E/s is the rounding of u magnified near u = 1.
+        """
         xs = np.asarray(xs, dtype=float)
         u = (xs - self.lo) / (self.hi - self.lo)
         inside = (u > 0.0) & (u < 1.0)
@@ -124,12 +126,15 @@ class SmoothBump:
         out[inside] = self._scale * np.exp(-self.sharpness / (uu * (1.0 - uu)))
         return out
 
-    def derivative(self, x: float) -> float:
-        u = (x - self.lo) / (self.hi - self.lo)
-        if u <= 0.0 or u >= 1.0:
-            return 0.0
+    def derivative(self, xs: np.ndarray) -> np.ndarray:
+        """w'(x) elementwise: a float for a scalar x, else an array."""
+        xs = np.asarray(xs, dtype=float)
+        u = (xs - self.lo) / (self.hi - self.lo)
         v = u * (1.0 - u)
-        return self(x) * self.sharpness * (1.0 - 2.0 * u) / (v * v) / (self.hi - self.lo)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slope = self.value_array(xs) * self.sharpness * (1.0 - 2.0 * u) / (v * v)
+        out = np.where((u > 0.0) & (u < 1.0), slope / (self.hi - self.lo), 0.0)
+        return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -145,8 +150,8 @@ class ProductBump:
         grid_y = np.linspace(self.fy.lo, self.fy.hi, 801)
         vx = self.fx.value_array(grid_x)
         vy = self.fy.value_array(grid_y)
-        dx = np.array([self.fx.derivative(x) for x in grid_x])
-        dy = np.array([self.fy.derivative(y) for y in grid_y])
+        dx = self.fx.derivative(grid_x)
+        dy = self.fy.derivative(grid_y)
         peak_x = float(vx.max())
         peak_y = float(vy.max())
         object.__setattr__(self, "z_bound", peak_x * peak_y)
@@ -156,12 +161,9 @@ class ProductBump:
         object.__setattr__(self, "zx_bound", zx)
         object.__setattr__(self, "zy_bound", zy)
 
-    def __call__(self, u: float, v: float) -> float:
-        return self.fx(u) * self.fy(v)
-
 
 # ---------------------------------------------------------------------------
-# 1D adaptive Gauss-Kronrod (normalization integrals, Bessel oracle helpers)
+# 1D adaptive Gauss-Kronrod (the bump's normalization integral)
 # ---------------------------------------------------------------------------
 
 _XGK = (
@@ -199,9 +201,10 @@ _G_WEIGHTS = np.array(list(_WG[:3]) + [_WG[3]] + list(reversed(_WG[:3])))
 
 
 def _gk_panel_1d(f, lo: float, hi: float) -> tuple[float, float]:
+    """GK15 on [lo, hi]; f maps an array of nodes to an array of values."""
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
-    vals = np.array([f(mid + half * t) for t in _K_NODES])
+    vals = f(mid + half * _K_NODES)
     k = half * float(_K_WEIGHTS @ vals)
     g = half * float(_G_WEIGHTS @ vals[_G_INDEX])
     return k, abs(k - g)
@@ -454,9 +457,8 @@ def delta_weight_array(x: float, ys: np.ndarray, bump: SmoothBump) -> np.ndarray
     margin = _BAND_MARGIN * max(abs(bump.lo), abs(bump.hi))
     edges = np.array([bump.lo - margin, bump.hi + margin])
     acc = np.zeros_like(ordered)
-    for j in range(1, j_max + 1):
-        xj = x * j
-        w_xj = bump(xj)
+    xjs = x * np.arange(1, j_max + 1)
+    for xj, w_xj in zip(xjs.tolist(), bump.value_array(xjs).tolist()):
         start, stop = np.searchsorted(ordered, edges * xj).tolist()
         if w_xj:
             # w(|y| / x j) = 0 off the band
@@ -580,11 +582,6 @@ def delta_decompose(n, scheme: DeltaScheme):
 
 
 @lru_cache(maxsize=512)
-def _unit_roots(modulus: int) -> tuple[complex, ...]:
-    return tuple(cmath.exp(2j * cmath.pi * k / modulus) for k in range(modulus))
-
-
-@lru_cache(maxsize=512)
 def _coprime_residues(q: int) -> tuple[int, ...]:
     return tuple(a for a in range(q) if math.gcd(a, q) == 1)
 
@@ -642,7 +639,6 @@ class QuadratureResult:
     value: float
     error_estimate: float
     panels: int
-    tolerance: float
 
 
 class Stratum(str, Enum):
@@ -826,4 +822,4 @@ def double_bessel_integral(
             value,
             err_total,
         )
-    return QuadratureResult(value, err_total, n_panels, abs_tol)
+    return QuadratureResult(value, err_total, n_panels)

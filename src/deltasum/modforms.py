@@ -26,10 +26,12 @@ exponents) runs over the sparse nonzero terms of the Euler factor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+
+import numpy as np
 
 from .arith import divisors, tau
 
@@ -92,11 +94,13 @@ def _poly_mul_trunc(a: list[int], b: list[int], n_max: int) -> list[int]:
 
 
 def _poly_pow_trunc(a: list[int], k: int, n_max: int) -> list[int]:
-    result = [1]
+    """a^k to degree n_max for k >= 1 and len(a) = n_max + 1, started from
+    the first factor rather than from the series 1."""
+    result = None
     base = a
     while k:
         if k & 1:
-            result = _poly_mul_trunc(result, base, n_max)
+            result = base if result is None else _poly_mul_trunc(result, base, n_max)
         k >>= 1
         if k:
             base = _poly_mul_trunc(base, base, n_max)
@@ -156,14 +160,16 @@ def eta_product_series(
     if lead.denominator != 1 or lead <= 0:
         raise ValueError(f"leading q-power {lead} is not a positive integer")
     n_max = bound - 1
-    series = [1]
+    # lead > 0, so some e is nonzero and the product has a first factor
+    series = None
     for t, e in exponent_pairs:
         if e == 0:
             continue
         factor = _euler_series(t, n_max)
         if e < 0:
             factor = _poly_inv_trunc(factor, n_max)
-        series = _poly_mul_trunc(series, _poly_pow_trunc(factor, abs(e), n_max), n_max)
+        power = _poly_pow_trunc(factor, abs(e), n_max)
+        series = power if series is None else _poly_mul_trunc(series, power, n_max)
     coeffs = [0] * (bound + 1)
     for n in range(1, bound + 1):
         coeffs[n] = series[n - 1]
@@ -172,12 +178,19 @@ def eta_product_series(
 
 @dataclass(frozen=True)
 class Newform:
-    """Integer Fourier coefficients a(n) of one form, a(1) = 1."""
+    """Integer Fourier coefficients a(n) of one form, a(1) = 1, and the
+    float64 table of the normalized eigenvalues, built once."""
 
     form_id: str
     level: int
     weight: int
     coefficients: tuple[int, ...]  # index n; entry 0 unused
+    _lam: np.ndarray = field(init=False, repr=False, compare=False)  # lambda(n) at n - 1
+
+    def __post_init__(self):
+        ns = np.arange(1, len(self.coefficients), dtype=float)
+        lam = np.array(self.coefficients[1:], dtype=float) / ns ** ((self.weight - 1) / 2)
+        object.__setattr__(self, "_lam", lam)
 
     @property
     def bound(self) -> int:
@@ -190,9 +203,21 @@ class Newform:
             )
         return self.coefficients[n]
 
-    def lam(self, n: int) -> float:
-        """Normalized eigenvalue lambda(n) = a(n) / n^((k-1)/2)."""
-        return self.a(n) / float(n) ** ((self.weight - 1) / 2)
+    def lam(self, n):
+        """Normalized eigenvalue lambda(n) = a(n) / n^((k-1)/2) of an int or
+        an integer array n: a float or a float64 array of n's shape, read
+        from one table, so a scalar call is the one-element array call.
+
+        Accuracy contract, tested against a(n) / n^((k-1)/2) at 30 digits
+        for the five built-in forms: relative error at most 2^-51.
+        """
+        ns = np.asarray(n, dtype=np.int64)
+        outside = (ns < 1) | (ns > self.bound)
+        if outside.any():
+            bad = ns[outside].flat[0]
+            raise InsufficientCoefficients(f"{self.form_id}: lam({bad}) beyond bound {self.bound}")
+        values = self._lam[ns - 1]
+        return float(values) if values.ndim == 0 else values
 
 
 _FORM_RECIPES: dict[str, tuple[int, int, tuple[tuple[int, int], ...]]] = {

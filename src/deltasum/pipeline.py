@@ -8,7 +8,6 @@ arithmetic for the hybrid subconvexity range.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,13 +17,14 @@ from math import gcd
 import numpy as np
 
 from .arith import inverse_mod, is_squarefree
-from .characters import enumerate_characters
+from .characters import _root_table, enumerate_characters
 from .expsums import coprime_residue_sum, cusp_pair_sum, principal_cusp_sum, ramanujan_sum
 from .kernels import (
     DeltaScheme,
     ProductBump,
     SmoothBump,
     Stratum,
+    _coprime_residues,
     bessel_j_array,
     calibrate,
     delta_weight_array,
@@ -174,27 +174,21 @@ class SumReport:
 
 
 def shifted_sum_direct(spec: ShiftedSumSpec) -> float:
-    """Reference evaluation: one constrained loop over n with m = n + rM."""
+    """Reference evaluation: lam1(n) lam2(m) / sqrt(n m) F(n/X, m/Y) over
+    the n-range, with m = n + rM."""
     nx, ny = spec.supports()
-    shift = spec.r * spec.shift_modulus
-    if nx and (nx.stop - 1 > spec.f1.bound):
-        raise InsufficientCoefficients(
-            f"need a({nx.stop - 1}) of {spec.f1.form_id}"
-        )
-    terms = []
-    for n in nx:
-        m = n + shift
-        if m not in ny:
-            continue
-        if m > spec.f2.bound:
-            raise InsufficientCoefficients(f"need a({m}) of {spec.f2.form_id}")
-        terms.append(
-            spec.f1.lam(n)
-            * spec.f2.lam(m)
-            / math.sqrt(n * m)
-            * spec.window.fx(n / spec.x_scale)
-            * spec.window.fy(m / spec.y_scale)
-        )
+    ns = np.arange(nx.start, nx.stop)
+    lam1 = spec.f1.lam(ns)  # raises unless every n of the support has a(n)
+    ms = ns + spec.r * spec.shift_modulus
+    keep = (ms >= ny.start) & (ms < ny.stop)
+    ns, ms = ns[keep], ms[keep]
+    terms = (
+        lam1[keep]
+        * spec.f2.lam(ms)
+        / np.sqrt(ns * ms)
+        * spec.window.fx.value_array(ns / spec.x_scale)
+        * spec.window.fy.value_array(ms / spec.y_scale)
+    )
     return math.fsum(terms)
 
 
@@ -322,20 +316,18 @@ def kloosterman_collapse(
         raise ValueError("this stratum requires gcd(q, level) = 1")
     if stratum == Stratum.COPRIME:
         modulus = q * level
-        pairs = [(g, inverse_mod(g, modulus)) for g in range(modulus) if gcd(g, modulus) == 1]
+        pairs = [(g, inverse_mod(g, modulus)) for g in _coprime_residues(modulus)]
         direct = _phase_sum(pairs, rm, m - n, modulus)
         closed = principal_cusp_sum(r, m_shift, m, n, level, q)
     elif stratum == Stratum.GAMMA:
         modulus = q
         p_inv = inverse_mod(level, q)
-        pairs = [(g, inverse_mod(g, q) * p_inv) for g in range(q) if gcd(g, q) == 1]
+        pairs = [(g, inverse_mod(g, q) * p_inv) for g in _coprime_residues(q)]
         direct = _phase_sum(pairs, rm, m - n, modulus)
         closed = cusp_pair_sum(r, m_shift, m, n, level, q)
     elif stratum == Stratum.MODULUS:
         modulus = q * level * level
-        pairs = [
-            (g, inverse_mod(g, modulus)) for g in range(modulus) if gcd(g, modulus) == 1
-        ]
+        pairs = [(g, inverse_mod(g, modulus)) for g in _coprime_residues(modulus)]
         direct = _phase_sum(pairs, rm, m - n, modulus)
         closed = principal_cusp_sum(r, m_shift, m, n, level, q * level)
     else:
@@ -344,13 +336,9 @@ def kloosterman_collapse(
 
 
 def _phase_sum(pairs, front: int, back: int, modulus: int) -> complex:
-    re = []
-    im = []
-    for g, gbar in pairs:
-        z = cmath.exp(2j * cmath.pi * ((front * g + back * gbar) % modulus) / modulus)
-        re.append(z.real)
-        im.append(z.imag)
-    return complex(math.fsum(re), math.fsum(im))
+    roots = _root_table(modulus)
+    phases = [roots[(front * g + back * gbar) % modulus] for g, gbar in pairs]
+    return complex(math.fsum(z.real for z in phases), math.fsum(z.imag for z in phases))
 
 
 # ---------------------------------------------------------------------------
@@ -363,8 +351,6 @@ class VoronoiReport:
     eta: complex
     eta_abs_error: float
     residual: float
-    lhs: complex
-    dual_side_unit: complex
     dual_terms: int
 
 
@@ -414,7 +400,7 @@ def _dual_side(
         wts = (half * weights)[None, :].repeat(panels, axis=0).ravel()
         args = (4.0 * math.pi / root_scale) * np.sqrt(np.outer(ns, ys))
         jvals = bessel_j_array(order, args.ravel()).reshape(args.shape)
-        lam = np.array([f.lam(int(n)) for n in ns])
+        lam = f.lam(ns)
         phases = np.exp(-2j * math.pi * ((inv * ns) % q) / q) if q > 1 else np.ones(len(ns))
         for i, h in enumerate(hs):
             if quiet_blocks[i] >= 2:
@@ -439,15 +425,10 @@ def _dual_side(
 def _twisted_partial_sum(f: Newform, a: int, q: int, h: SmoothBump) -> complex:
     lo = int(math.floor(h.lo)) + 1
     hi = int(math.ceil(h.hi)) - 1
-    if hi > f.bound:
-        raise InsufficientCoefficients(f"need a({hi}) of {f.form_id}")
-    re = []
-    im = []
-    for n in range(max(1, lo), hi + 1):
-        z = f.lam(n) * h(n) * cmath.exp(2j * cmath.pi * ((a * n) % q) / q)
-        re.append(z.real)
-        im.append(z.imag)
-    return complex(math.fsum(re), math.fsum(im))
+    ns = np.arange(max(1, lo), hi + 1)
+    terms = f.lam(ns) * h.value_array(ns)
+    phases = np.array(_root_table(q))[(a * ns) % q]
+    return complex(math.fsum(terms * phases.real), math.fsum(terms * phases.imag))
 
 
 # Coefficient bound per built-in form, enough for verify_voronoi's dual sum to
@@ -495,8 +476,6 @@ def verify_voronoi(
         eta=eta,
         eta_abs_error=abs(abs(eta) - 1.0),
         residual=residual,
-        lhs=lhs,
-        dual_side_unit=dual,
         dual_terms=max(used, used2),
     )
 
@@ -509,11 +488,8 @@ def verify_voronoi(
 def _lam_window(f: Newform, x_scale: float, h: SmoothBump) -> tuple[np.ndarray, np.ndarray]:
     lo = int(math.floor(h.lo * x_scale)) + 1
     hi = int(math.ceil(h.hi * x_scale)) - 1
-    if hi > f.bound:
-        raise InsufficientCoefficients(f"need a({hi}) of {f.form_id}")
     ns = np.arange(max(1, lo), hi + 1)
-    vals = np.array([f.lam(n) / math.sqrt(n) * h(n / x_scale) for n in ns.tolist()])
-    return ns, vals
+    return ns, f.lam(ns) / np.sqrt(ns) * h.value_array(ns / x_scale)
 
 
 def _check_moment_args(f: Newform, modulus: int) -> None:

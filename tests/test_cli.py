@@ -92,11 +92,13 @@ def test_moment_command():
 
 
 # sha256 of `deltasum moment` as written when the second_moment column was
-# evaluated separately from the Gauss opening's lhs
+# evaluated separately from the Gauss opening's lhs; the two Delta digests as
+# written once lambda(n) and the window were evaluated over arrays (numpy's
+# exp and power, last-bit changes of at most 2.8e-16 relative in two cells)
 _MOMENT_SHA256 = {
     ("E2_11_2", 5, 20): "bffc5e03cca484e8b3c4c3354a628f050ee5e894881aab18c342c1fc36a51b49",
-    ("Delta_1_12", 15, 30): "250549c7a310e6f0999755190c85662f1d862ccb4bf96c9c4b3e975713f6d86c",
-    ("Delta_1_12", 211, 700): "95b30ffdf0e468ca37da9d6d8f3528863fce41cfc4b20975a6563a139b3bf196",
+    ("Delta_1_12", 15, 30): "f99d00b27904bd04a25ed181342ea2e6916cf3db3a9fc0b5cc874da942998c5d",
+    ("Delta_1_12", 211, 700): "885763f3b5bf9a853f472366c3d3a22c677d3ea93fc20443f64a0b3a1462b965",
 }
 
 

@@ -25,7 +25,6 @@ def test_weil_bound_fields():
     v = expsums.kloosterman(1, 1, 3)
     assert v.weil_bound == pytest.approx(2 * math.sqrt(3))
     assert abs(v.value) <= v.weil_bound
-    assert v.nearest_int == -1
 
 
 def test_weil_bound_random_sweep():

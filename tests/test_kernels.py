@@ -43,6 +43,62 @@ def test_bump_derivative_matches_finite_difference():
         assert w.derivative(x) == pytest.approx(fd, rel=1e-5, abs=1e-8)
 
 
+_CONTRACT_BUMPS = [
+    kernels.SmoothBump(lo, hi, sharpness=s, normalization=norm)
+    for lo, hi, norm in ((0.5, 1.0, "integral"), (0.5, 2.5, "peak"), (40.0, 200.0, "peak"))
+    for s in (0.25, 0.5, 1.0)
+]
+
+
+@st.composite
+def _bump_points(draw):
+    """A contract bump and a point of its support: anywhere, or within
+    1e-12 of either edge."""
+    bump = draw(st.sampled_from(_CONTRACT_BUMPS))
+    where = draw(st.sampled_from(("inside", "lower", "upper")))
+    if where == "inside":
+        x = bump.lo + draw(st.floats(0.0, 1.0)) * (bump.hi - bump.lo)
+    elif where == "lower":
+        x = bump.lo + draw(st.floats(0.0, 1e-12))
+    else:
+        x = bump.hi - draw(st.floats(0.0, 1e-12))
+    return bump, x
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_bump_points())
+def test_bump_value_array_matches_mpmath(point):
+    """The accuracy contract of SmoothBump.value_array: |w - w_exact| <=
+    2 eps (1 + E) (1 + E / s) w_exact + scale * 2^-1022, E = s / (u (1 - u))."""
+    mpmath = pytest.importorskip("mpmath")
+    bump, x = point
+    value = float(bump.value_array(np.array([x]))[0])
+    with mpmath.workdps(30):
+        u = (mpmath.mpf(x) - bump.lo) / (mpmath.mpf(bump.hi) - bump.lo)
+        if not 0 < u < 1:
+            assert value == 0.0
+            return
+        e = bump.sharpness / (u * (1 - u))
+        exact = mpmath.mpf(bump._scale) * mpmath.exp(-e)
+        err = float(abs(value - exact))
+    e, eps = float(e), 2.0**-53
+    bound = 2 * eps * (1 + e) * (1 + e / bump.sharpness) * float(exact)
+    assert err <= bound + bump._scale * 2.0**-1022, (err, bound)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.sampled_from(_CONTRACT_BUMPS), st.lists(st.floats(-5.0, 250.0), min_size=1, max_size=40))
+def test_bump_scalar_is_one_element_array(bump, xs):
+    """w(x) and w'(x) are bitwise the one-element array calls, and each
+    value of a longer array is the value of its own one-element call."""
+    values = bump.value_array(np.array(xs))
+    slopes = bump.derivative(np.array(xs))
+    for i, x in enumerate(xs):
+        single = bump.value_array(np.array([x]))[0]
+        assert bump(x) == single == values[i]
+        assert bump.derivative(x) == bump.derivative(np.array([x]))[0] == slopes[i]
+
+
 def test_product_bump_bounds():
     win = default_window()
     assert win.z_bound == pytest.approx(1.0)

@@ -2,7 +2,10 @@ import hashlib
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deltasum import modforms, verify
 
@@ -203,6 +206,33 @@ def test_lambda_normalization(all_forms):
 def test_lambda_out_of_bounds(delta_form):
     with pytest.raises(modforms.InsufficientCoefficients):
         delta_form.lam(delta_form.bound + 1)
+    for bad in (0, delta_form.bound + 1):
+        with pytest.raises(modforms.InsufficientCoefficients):
+            delta_form.lam(np.array([1, bad, 2]))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.sampled_from(modforms.BUILTIN_FORM_IDS), st.integers(1, 3000))
+def test_lambda_matches_exact(all_forms, form_id, n):
+    """The accuracy contract of Newform.lam: relative error at most 2^-51
+    against a(n) / n^((k-1)/2) at 30 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    f = all_forms[form_id]
+    with mpmath.workdps(30):
+        exact = mpmath.mpf(f.a(n)) / mpmath.mpf(n) ** (mpmath.mpf(f.weight - 1) / 2)
+        err = abs(f.lam(n) - exact)
+        assert err <= 2.0**-51 * abs(exact), (form_id, n, float(err / exact))
+
+
+def test_lambda_scalar_is_one_element_array(all_forms):
+    """Every lam(n) is bitwise the one-element array call and the element of
+    the whole-range call, for all n <= 3000 of the five forms."""
+    for f in all_forms.values():
+        ns = np.arange(1, f.bound + 1)
+        values = f.lam(ns)
+        assert values.dtype == np.float64 and type(f.lam(7)) is float
+        singles = [f.lam(n) for n in ns.tolist()]
+        assert singles == [f.lam(np.array([n]))[0] for n in ns.tolist()] == values.tolist()
 
 
 def test_hecke_residual_examples(all_forms):

@@ -123,11 +123,21 @@ def _used_outside(uses, ident, path, node):
     )
 
 
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    for deco in cls.decorator_list:
+        target = deco.func if isinstance(deco, ast.Call) else deco
+        if isinstance(target, ast.Name) and target.id == "dataclass":
+            return True
+    return False
+
+
 def test_every_public_name_and_method_is_reached():
-    """Every name a module exports and every method or property of a class
-    in src/ is used somewhere in src/ or perfbench/ outside its own
-    definition; a name that only tests call is code no pipeline reaches.
-    Methods match attributes only, never local variables of the same name."""
+    """Every name a module exports, every method or property of a class and
+    every field of a dataclass in src/ is used somewhere in src/ or
+    perfbench/ outside its own definition; a name that only tests call is
+    code no pipeline reaches, and a field nothing reads is a value no
+    pipeline uses.  Methods and fields match attributes only, never local
+    variables or keyword arguments of the same name."""
     trees = _trees()
     names = _uses(trees, (ast.Name, ast.Attribute))
     attributes = _uses(trees, ast.Attribute)
@@ -150,11 +160,16 @@ def test_every_public_name_and_method_is_reached():
         if path.parent.name != "deltasum":
             continue
         for cls in (n for n in tree.body if isinstance(n, ast.ClassDef)):
+            has_fields = _is_dataclass(cls)
             for node in cls.body:
-                if not isinstance(node, ast.FunctionDef):
+                if isinstance(node, ast.FunctionDef):
+                    name = node.name
+                    if name.startswith("__") and name.endswith("__"):
+                        continue
+                elif has_fields and isinstance(node, ast.AnnAssign):
+                    name = node.target.id
+                else:
                     continue
-                if node.name.startswith("__") and node.name.endswith("__"):
-                    continue
-                if not _used_outside(attributes, node.name, path, node):
-                    unreached.append(f"{module}: {cls.name}.{node.name}")
+                if not _used_outside(attributes, name, path, node):
+                    unreached.append(f"{module}: {cls.name}.{name}")
     assert not unreached, unreached
