@@ -4,12 +4,13 @@ double integral that appears after dual summation.
 
 Numerical conventions, fixed for reproducibility:
 
-- the sums over q, over a and over b in the decompositions, and the
-  quadrature panel sums, go through math.fsum (exactly rounded); the short
-  j-sum of the delta weight is added in order, j = 1 first;
+- the q-sum of the decompositions and the quadrature panel sums go
+  through math.fsum (exactly rounded); the a- and b-sums are the exact
+  integer closed form P [P | n] c_q(n/P); the short j-sum of the delta
+  weight is added in order, j = 1 first;
 - the decomposition value is the raw sum divided by the raw sum at n = 0;
-  at n = 0 the raw sum has exactly the terms of the calibration sum, so the
-  anchor is exact;
+  at n = 0 the plain raw sum has exactly the terms of the calibration sum,
+  so the plain anchor is exact;
 - adaptive quadrature subdivides one generation of panels at a time; each
   panel's accept-or-split decision depends on that panel alone, so the
   panel tree, and with math.fsum the total, do not depend on the order in
@@ -26,8 +27,9 @@ from functools import lru_cache
 import numpy as np
 
 from .arith import is_prime
+# nothing here reads _unit_roots: perfbench reports its cache hits by this name
 from .characters import _root_table as _unit_roots, additive_orthogonality_sum
-from .expsums import ramanujan_sum
+from .expsums import coprime_residue_sum
 
 __all__ = [
     "CalibrationError",
@@ -511,18 +513,27 @@ class DeltaScheme:
         )
 
 
+def _weight_columns(scheme: DeltaScheme, ns):
+    """(q, live, g) for each q in 1..q_max(max |n|) whose weight
+    g(q/Q, n/(P Q^2)) is nonzero at some n of ns: live indexes those n and
+    g holds their weights.  The one q-loop of the delta symbol."""
+    q_scale = scheme.q_scale
+    ns_abs = np.abs(np.asarray(ns))
+    ys = ns_abs / (scheme.level * q_scale * q_scale)
+    for q in range(1, scheme.q_max(int(ns_abs.max(initial=0))) + 1):
+        gvals = delta_weight_array(q / q_scale, ys, scheme.bump)
+        live = np.flatnonzero(gvals)
+        if live.size:
+            yield q, live, gvals[live]
+
+
 def _raw_plain_zero(scheme: DeltaScheme) -> float:
     """(1/Q^2) sum_q phi(q) g(q/Q, 0).  The n = 0 value of delta_decompose
-    sums the same terms c_q(0) g(q/Q, 0) = phi(q) g(q/Q, 0) (plus zeros),
-    so the anchor is exact."""
+    sums the same terms c_q(0) g(q/Q, 0) = phi(q) g(q/Q, 0), so the anchor
+    is exact."""
     q_scale = scheme.q_scale
     phi_acc = _phi_cache(int(math.ceil(q_scale)) + 1)
-    zero = np.zeros(1)
-    terms = []
-    for q in range(1, int(math.ceil(q_scale)) + 1):
-        g = float(delta_weight_array(q / q_scale, zero, scheme.bump)[0])
-        if g:
-            terms.append(phi_acc[q] * g)
+    terms = [phi_acc[q] * float(g[0]) for q, _, g in _weight_columns(scheme, [0])]
     return math.fsum(terms) / (q_scale * q_scale)
 
 
@@ -557,6 +568,19 @@ def _row_sums(terms: np.ndarray, scale: float, scheme: DeltaScheme, shape: tuple
     return float(out[0]) if shape == () else out.reshape(shape)
 
 
+def _decompose(n, scheme: DeltaScheme):
+    """(1/(P Q^2 raw_zero)) sum_q P [P | n] c_q(n/P) g(q/Q, n/(P Q^2)) for
+    each n, the body of both decompositions.  Only |n| enters."""
+    if not scheme.is_calibrated:
+        raise UncalibratedScheme("call calibrate() first")
+    ns = np.asarray(n, dtype=np.int64)
+    flat = np.abs(ns.ravel())
+    terms = np.zeros((flat.size, scheme.q_max(int(flat.max(initial=0)))))
+    for q, live, g in _weight_columns(scheme, flat):
+        terms[live, q - 1] = coprime_residue_sum(q, scheme.level, flat[live]) * g
+    return _row_sums(terms, scheme.level * scheme.q_scale * scheme.q_scale, scheme, ns.shape)
+
+
 def delta_decompose(n, scheme: DeltaScheme):
     """Plain decomposition of the indicator [n = 0].
 
@@ -569,16 +593,7 @@ def delta_decompose(n, scheme: DeltaScheme):
     """
     if scheme.level != 1:
         raise ValueError("plain decomposition requires a level-1 scheme")
-    if not scheme.is_calibrated:
-        raise UncalibratedScheme("call calibrate() first")
-    ns = np.asarray(n, dtype=np.int64)
-    flat = np.abs(ns.ravel())
-    q_scale = scheme.q_scale
-    ys = flat / (q_scale * q_scale)
-    terms = np.empty((flat.size, scheme.q_max(int(flat.max(initial=0)))))
-    for q in range(1, terms.shape[1] + 1):
-        terms[:, q - 1] = ramanujan_sum(q, flat) * delta_weight_array(q / q_scale, ys, scheme.bump)
-    return _row_sums(terms, q_scale * q_scale, scheme, ns.shape)
+    return _decompose(n, scheme)
 
 
 @lru_cache(maxsize=512)
@@ -596,37 +611,18 @@ def congruence_average(n: int, level: int) -> complex:
 def delta_decompose_lowered(n, scheme: DeltaScheme):
     """Conductor-lowered decomposition of [n = 0].
 
-    (c_Q / (P Q^2)) sum_q sum*_a sum_b e(n (a + b q)/(q P)) g(q/Q, n/(P Q^2)),
-    evaluated from the displayed triple sum (a-sum and b-sum taken literally,
-    phases reduced exactly in integer arithmetic).  n may be an int or an
-    integer numpy array, as for delta_decompose.  The value at -n equals the
-    value at n by construction: only |n| enters.
+    (c_Q / (P Q^2)) sum_q sum*_a sum_b e(n (a + b q)/(q P)) g(q/Q, n/(P Q^2)).
+    The b-sum is P [P | n] and what is left of the a-sum is c_q(n/P), so
+    the gamma-sum is the exact integer P [P | n] c_q(n/P)
+    (expsums.coprime_residue_sum) and an n off the multiples of P gives
+    exactly 0; at P = 1 it is c_q(n), the plain decomposition.  n may be an
+    int or an integer numpy array, as for delta_decompose.  The value at -n
+    equals the value at n: the displayed sum is even in n (a -> -a), and
+    only |n| enters.
     """
     if scheme.level < 2:
         raise ValueError("conductor-lowered decomposition requires a prime level")
-    if not scheme.is_calibrated:
-        raise UncalibratedScheme("call calibrate() first")
-    level = scheme.level
-    q_scale = scheme.q_scale
-    # the displayed sum is even in n (a -> -a bijection)
-    ns = np.asarray(n, dtype=np.int64)
-    flat = np.abs(ns.ravel())
-    ys = flat / (level * q_scale * q_scale)
-    b_sums = [additive_orthogonality_sum(level, m, 0) for m in flat.tolist()]
-    terms = np.zeros((flat.size, scheme.q_max(int(flat.max(initial=0)))))
-    for q in range(1, terms.shape[1] + 1):
-        gvals = delta_weight_array(q / q_scale, ys, scheme.bump)
-        live = np.flatnonzero(gvals)
-        if not live.size:
-            continue
-        qp = q * level
-        roots = np.array(_unit_roots(qp))
-        phases = (flat[live] % qp)[:, None] * np.array(_coprime_residues(q)) % qp
-        a_sums = zip(roots.real[phases].tolist(), roots.imag[phases].tolist())
-        for i, g, (a_re, a_im) in zip(live.tolist(), gvals[live].tolist(), a_sums):
-            z = complex(math.fsum(a_re), math.fsum(a_im)) * b_sums[i]
-            terms[i, q - 1] = g * z.real
-    return _row_sums(terms, level * q_scale * q_scale, scheme, ns.shape)
+    return _decompose(n, scheme)
 
 
 # ---------------------------------------------------------------------------

@@ -25,9 +25,9 @@ from .kernels import (
     SmoothBump,
     Stratum,
     _coprime_residues,
+    _weight_columns,
     bessel_j_array,
     calibrate,
-    delta_weight_array,
 )
 from .modforms import InsufficientCoefficients, Newform
 
@@ -222,21 +222,13 @@ def _decomposition(
     modulus stratum.  At level 1 everything is the coprime stratum.
     """
     level = spec.level
-    q_scale = scheme.q_scale
-    p_q2 = level * q_scale * q_scale
-    t_abs_max = float(np.abs(ts).max())
-    q_top = int(math.ceil(q_scale * max(1.0, 2.0 * t_abs_max / p_q2)))
     total: list[float] = []
     coprime: list[float] = []
     gamma: list[float] = []
     modulus: list[float] = []
-    for q in range(1, q_top + 1):
-        gvals = delta_weight_array(q / q_scale, ts / p_q2, scheme.bump)
-        mask = gvals != 0.0
-        if not mask.any():
-            continue
-        tsq = ts[mask]
-        weight = amps[mask] * gvals[mask]
+    for q, live, g in _weight_columns(scheme, ts):
+        tsq = ts[live]
+        weight = amps[live] * g
         total.append(float(weight @ coprime_residue_sum(q, level, tsq)))
         if level == 1:
             coprime.append(total[-1])
@@ -245,7 +237,7 @@ def _decomposition(
             gamma.append(float(weight @ ramanujan_sum(q, tsq)))
         else:
             modulus.append(total[-1])
-    norm = scheme.raw_zero * p_q2
+    norm = scheme.raw_zero * (level * scheme.q_scale * scheme.q_scale)
     return tuple(math.fsum(part) / norm for part in (total, coprime, gamma, modulus))
 
 
@@ -372,7 +364,7 @@ def _dual_side(
         raise ValueError("the test functions must share one support")
     p2 = f.level // gcd(f.level, q)
     root_scale = q * math.sqrt(p2)
-    inv = inverse_mod(a * p2, q) if q > 1 else 0
+    inv = inverse_mod(a * p2, q)
     order = f.weight - 1
     span = math.sqrt(hi) - math.sqrt(lo)
     block = 256
@@ -401,7 +393,7 @@ def _dual_side(
         args = (4.0 * math.pi / root_scale) * np.sqrt(np.outer(ns, ys))
         jvals = bessel_j_array(order, args.ravel()).reshape(args.shape)
         lam = f.lam(ns)
-        phases = np.exp(-2j * math.pi * ((inv * ns) % q) / q) if q > 1 else np.ones(len(ns))
+        phases = np.array(_root_table(q))[(-inv * ns) % q]
         for i, h in enumerate(hs):
             if quiet_blocks[i] >= 2:
                 continue

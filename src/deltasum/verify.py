@@ -838,27 +838,26 @@ def check_bound_monotonicity():
 
 
 def _shift_strength(f, modulus, x_scale, h) -> float:
-    """sum over 0 < |r| <= r_bound of |sum_n v_n v_{n + r M}|."""
-    total = 0.0
-    for s in pipeline.diagonal_split(f, modulus, x_scale, h).lag_sums:
-        # shifts r and -r have the same sum; adding it twice rather than
-        # doubling it keeps the row byte-identical
-        total += abs(s)
-        total += abs(s)
-    return total
+    """sum over 0 < |r| <= r_bound of |sum_n v_n v_{n + r M}|; shifts r and
+    -r have the same sum."""
+    lag_sums = pipeline.diagonal_split(f, modulus, x_scale, h).lag_sums
+    return 2.0 * math.fsum(abs(s) for s in lag_sums)
 
 
 @_check(
     "pipeline.moment-slope",
-    "off-diagonal size vs shift modulus, envelope prediction -1/4 (monitored)",
+    "off-diagonal size vs shift modulus, against the bound exponent -1/4 (monitored)",
 )
 def check_moment_slope():
+    """Per form, the fitted slope of log proxy(M) in log M and the constant
+    max_M proxy(M) M^(1/4).  -1/4 is the exponent of the off-diagonal's
+    upper bound, not a prediction: any slope at or below it is consistent."""
     h = pipeline.default_moment_window()
-    slopes = []
+    rows = []
     for fid in modforms.BUILTIN_FORM_IDS:
         f = modforms.builtin_form(fid)
-        xs = []
-        ys = []
+        moduli = []
+        proxies = []
         for modulus in range(11, 42, 2):
             if not arith.is_squarefree(modulus) or gcd(modulus, f.level) != 1:
                 continue
@@ -870,15 +869,11 @@ def check_moment_slope():
                 np.mean([_shift_strength(f, modulus, float(x), h) for x in grid])
             )
             if proxy > 0:
-                xs.append(math.log(modulus))
-                ys.append(math.log(proxy))
-        slope = float(np.polyfit(xs, ys, 1)[0])
-        slopes.append((fid, slope))
-    prediction = -0.25
-    rows = [
-        f"{fid}: slope={_fmt(s)} ({'inside' if abs(s - prediction) <= 0.2 else 'outside'})"
-        for fid, s in slopes
-    ]
+                moduli.append(modulus)
+                proxies.append(proxy)
+        slope = float(np.polyfit(np.log(moduli), np.log(proxies), 1)[0])
+        constant = max(p * m**0.25 for m, p in zip(moduli, proxies))
+        rows.append(f"{fid}: slope={_fmt(slope)} constant={_fmt(constant)}")
     return MONITOR, "; ".join(rows)
 
 

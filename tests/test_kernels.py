@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from deltasum import kernels, verify
-from deltasum.pipeline import default_delta_bump, default_window
+from deltasum.pipeline import default_delta_bump, default_window, shifted_sum_delta
 
 
 # ---------------------------------------------------------------------------
@@ -405,6 +405,64 @@ def test_decompositions_over_arrays_match_one_element_calls():
         assert values.tolist() == singles, (evaluate.__name__, scheme.q_scale, scheme.level)
         if scheme.level == 1:
             assert values[60] == 1.0
+
+
+def _literal_lowered(ns, scheme):
+    """(1/(P Q^2)) sum_q [sum*_a sum_b cos(2 pi n (a + b q)/(q P))] g / raw_zero
+    for signed n, the a- and b-sums taken term by term, each phase reduced
+    mod qP in integer arithmetic."""
+    level, q_scale = scheme.level, scheme.q_scale
+    ys = ns / (level * q_scale * q_scale)
+    total = np.zeros(ns.size)
+    for q in range(1, scheme.q_max(int(np.abs(ns).max())) + 1):
+        g = kernels.delta_weight_array(q / q_scale, ys, scheme.bump)
+        qp = q * level
+        units = [a for a in range(q) if math.gcd(a, q) == 1]
+        gammas = np.array([a + b * q for a in units for b in range(level)])
+        phases = np.outer(ns, gammas) % qp
+        total += np.cos(2.0 * math.pi * phases / qp).sum(axis=1) * g
+    return total / (level * q_scale * q_scale) / scheme.raw_zero
+
+
+def test_lowered_decomposition_matches_literal_triple_sum():
+    """The closed gamma-sum P [P | n] c_q(n/P) against the displayed triple
+    sum at signed n: at -n the literal a-sum is the conjugate of the one at
+    n, while the kernel reads |n|."""
+    ns = np.arange(-120, 121)
+    for level in (2, 3, 5, 11):
+        for q_scale in (6.0, 10.0, 25.0):
+            scheme = kernels.calibrate(kernels.DeltaScheme(q_scale, level, default_delta_bump()))
+            got = kernels.delta_decompose_lowered(ns, scheme)
+            want = _literal_lowered(ns, scheme)
+            assert float(np.abs(got - want).max()) <= 1e-14, (level, q_scale)
+
+
+def _pinned_delta_values():
+    """repr lines of the plain decomposition at three Q on [-300, 300], of
+    raw_zero on a (sharpness, Q, P) grid, and of the nine acceptance
+    SumReports."""
+    ns = np.arange(-300, 301)
+    lines = []
+    for q_scale in (6.0, 10.5, 25.0):
+        scheme = kernels.calibrate(kernels.DeltaScheme(q_scale, 1, default_delta_bump()))
+        lines.append(repr(kernels.delta_decompose(ns, scheme).tolist()))
+    for sharpness in (0.25, 0.5, 1.0):
+        for q_scale in (4.0, 6.0, 10.5, 25.0, 50.0):
+            for level in (1, 2, 3, 5, 11):
+                scheme = kernels.DeltaScheme(q_scale, level, default_delta_bump(sharpness))
+                lines.append(repr(kernels.calibrate(scheme).raw_zero))
+    lines += [repr(shifted_sum_delta(spec)) for spec in verify.acceptance_specs()]
+    return lines
+
+
+# sha256 of _pinned_delta_values, joined by newlines, as written when the
+# a- and b-sums were still summed term by term
+_DELTA_SHA256 = "85c877cf87e454b855eb50f396cb40abc22d8e437461bdf9b03acdf9fac3cb59"
+
+
+def test_delta_values_unchanged():
+    digest = hashlib.sha256("\n".join(_pinned_delta_values()).encode()).hexdigest()
+    assert digest == _DELTA_SHA256
 
 
 def test_broken_bump_rejected():

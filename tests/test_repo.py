@@ -173,3 +173,23 @@ def test_every_public_name_and_method_is_reached():
                 if not _used_outside(attributes, name, path, node):
                     unreached.append(f"{module}: {cls.name}.{name}")
     assert not unreached, unreached
+
+
+def test_one_q_loop_for_the_delta_weight():
+    """delta_weight_array is called in src/ only by kernels._weight_columns,
+    the q-loop every decomposition and the shifted sum walk, and by the
+    quadrature's kernels._panel_rules; verify.py's checks call it as
+    oracles."""
+    allowed = {("kernels.py", "_weight_columns"), ("kernels.py", "_panel_rules")}
+    callers = set()
+    for path in sorted((ROOT / "src" / "deltasum").glob("*.py")):
+        if path.name == "verify.py":
+            continue
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    ident = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                    if ident == "delta_weight_array":
+                        callers.add((path.name, getattr(top, "name", None)))
+    assert callers <= allowed, sorted(callers - allowed, key=str)
