@@ -231,16 +231,16 @@ def _adaptive_gk_1d(f, lo, hi, tol, max_depth=50):
 
 
 # ---------------------------------------------------------------------------
-# J-Bessel evaluation: power series up to the crossover; above it the Hankel
-# expansion for orders 0 and 1 with upward recurrence where x >= order, and
-# Miller's backward recurrence where x < order
+# J-Bessel evaluation in three regimes: the power series up to the crossover
+# x = 12; Miller's backward recurrence from there up to the order's Hankel
+# edge X_order; the order's own Hankel expansion from X_order on
 # ---------------------------------------------------------------------------
 
 BESSEL_CROSSOVER = 12.0
 _MAX_ORDER = 20
 _CHUNK = 1 << 15  # elements per pass, so the temporaries stay small
 _HANKEL_MAX_TERMS = 39
-_MILLER_START = 64  # even; J_64(x) / Y_64(x) is below 1e-40 for x < 20
+_HANKEL_TAIL = 1e-17  # the Hankel expansion starts where its stop terms are below this
 
 
 def _series_stop(order: int, x: float) -> int:
@@ -257,18 +257,19 @@ def _series_stop(order: int, x: float) -> int:
     return 120
 
 
-def _hankel_stop(order: int, x: float) -> int:
+def _hankel_stop(order: int, x: float) -> tuple[int, float]:
     """Terms of the Hankel expansion added at x before the first term that
-    stops decreasing or drops below 1e-19."""
+    stops decreasing or drops below 1e-19, and the size of that term; a sum
+    cut at _HANKEL_MAX_TERMS ends on no such term (size inf)."""
     mu = 4.0 * order * order
     term = 1.0
     prev = math.inf
     for m in range(1, _HANKEL_MAX_TERMS + 1):
         term *= (mu - (2.0 * m - 1.0) ** 2) / (m * 8.0 * x)
         if abs(term) >= prev or abs(term) < 1e-19:
-            return m - 1
+            return m - 1, abs(term)
         prev = abs(term)
-    return _HANKEL_MAX_TERMS
+    return _HANKEL_MAX_TERMS, math.inf
 
 
 # Every order runs a fixed number of terms, the count its series needs at the
@@ -276,35 +277,54 @@ def _hankel_stop(order: int, x: float) -> int:
 # neighbours.
 _SERIES_TERMS = tuple(_series_stop(k, BESSEL_CROSSOVER) for k in range(_MAX_ORDER + 1))
 
-# Lower edges of the x bands of the Hankel kernel: unit steps where the
-# stop rule's count still grows with x, then ratio 2^(1/4).  A band runs the
-# count the stop rule gives at its lower edge; the last band is unbounded.
-_HANKEL_BANDS = np.array(
-    [float(x) for x in range(10, 20)] + [20.0 * 2.0 ** (k / 4.0) for k in range(48)]
-)
+# Lower edges of the x bands of the Hankel expansion, ratio 2^(1/4) from 20
+# on.  A band runs the count the stop rule gives at its lower edge; the last
+# band is unbounded.
+_HANKEL_BANDS = np.array([20.0 * 2.0 ** (k / 4.0) for k in range(48)])
 
 
-def _hankel_band_coefficients(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """The coefficients in z = 1/x^2 of P and of x Q, one row per power of z
+@lru_cache(maxsize=None)
+def _hankel_bands(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The order's Hankel bands, from its edge X_order on: their lower edges,
+    and the coefficients in z = 1/x^2 of P and of x Q, one row per power of z
     (lowest first) and one column per band, zero past the band's count:
     P = sum_k (-1)^k a_2k z^k and Q = x^-1 sum_k (-1)^k a_(2k+1) z^k, with
-    a_m = prod_(j <= m) (4 order^2 - (2j - 1)^2) / (8 j)."""
+    a_m = prod_(j <= m) (4 order^2 - (2j - 1)^2) / (8 j).
+
+    X_order is the lowest edge of _HANKEL_BANDS from which on every band's
+    stop rule ends on a term below _HANKEL_TAIL.  A band keeps its edge's
+    count, and past the edge every left-out term is smaller still."""
+    counts = []
+    for edge in reversed(_HANKEL_BANDS.tolist()):
+        n, tail = _hankel_stop(order, edge)
+        if tail >= _HANKEL_TAIL:
+            break
+        counts.append(n)
+    counts.reverse()
     mu = 4.0 * order * order
     a = [1.0]
-    for m in range(1, _HANKEL_MAX_TERMS + 1):
+    for m in range(1, max(counts) + 1):
         a.append(a[-1] * (mu - (2.0 * m - 1.0) ** 2) / (m * 8.0))
-    signed = np.array([(-1) ** (m // 2) * a[m] for m in range(_HANKEL_MAX_TERMS + 1)])
-    width = _HANKEL_MAX_TERMS // 2 + 1
-    p = np.zeros((width, _HANKEL_BANDS.size))
-    q = np.zeros((width, _HANKEL_BANDS.size))
-    for i, edge in enumerate(_HANKEL_BANDS):
-        n = _hankel_stop(order, float(edge))
+    signed = np.array([(-1) ** (m // 2) * a[m] for m in range(len(a))])
+    p = np.zeros((max(counts) // 2 + 1, len(counts)))
+    q = np.zeros_like(p)
+    for i, n in enumerate(counts):
         p[: n // 2 + 1, i] = signed[0 : n + 1 : 2]
         q[: (n + 1) // 2, i] = signed[1 : n + 1 : 2]
-    return p, q
+    return _HANKEL_BANDS[_HANKEL_BANDS.size - len(counts) :], p, q
 
 
-_HANKEL_COEFFS = (_hankel_band_coefficients(0), _hankel_band_coefficients(1))
+def _hankel_edge(order: int) -> float:
+    """X_order, where the Hankel expansion takes over from Miller."""
+    return float(_hankel_bands(order)[0][0])
+
+
+def _miller_start(order: int) -> int:
+    """Where Miller's recurrence starts for the order: the first even N at
+    least 48 above X_order, and at least 64.  J_N(x) / Y_N(x), which sets
+    the error the start leaves, is then below 1e-26 for every order and
+    every x < X_order."""
+    return max(64, 2 * math.ceil((_hankel_edge(order) + 48.0) / 2.0))
 
 
 def _horner(table: np.ndarray, band: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -320,31 +340,33 @@ def _horner(table: np.ndarray, band: np.ndarray, z: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _hankel_j01(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """J0 and J1 from the Hankel expansion, the number of terms taken from
-    each element's x band."""
-    # x below the first edge (only the branch checks ask) takes the first band
-    band = np.maximum(np.searchsorted(_HANKEL_BANDS, xs, side="right") - 1, 0)
+def _hankel(order: int, xs: np.ndarray) -> np.ndarray:
+    """J_order for x >= X_order from its own Hankel expansion (DLMF 10.17.3):
+    sqrt(2 / (pi x)) (P cos w - Q sin w) with w = x - pi/4 - order pi/2, the
+    number of terms taken from each element's x band."""
+    edges, p, q = _hankel_bands(order)
+    # x >= edges[0]: the number of later edges at or below x is x's band
+    band = np.searchsorted(edges[1:], xs, side="right")
     z = 1.0 / (xs * xs)
-    (p0, q0), (p1, q1) = _HANKEL_COEFFS
     omega = xs - 0.25 * math.pi
     cos_w = np.cos(omega)
     sin_w = np.sin(omega)
+    # each quarter turn back takes (cos, sin) to (sin, -cos), exactly
+    for _ in range(order % 4):
+        cos_w, sin_w = sin_w, -cos_w
     amp = np.sqrt(2.0 / (math.pi * xs))
-    # J1 has phase omega - pi/2: cos(omega - pi/2) = sin(omega)
-    j0 = amp * (_horner(p0, band, z) * cos_w - _horner(q0, band, z) / xs * sin_w)
-    j1 = amp * (_horner(p1, band, z) * sin_w + _horner(q1, band, z) / xs * cos_w)
-    return j0, j1
+    return amp * (_horner(p, band, z) * cos_w - _horner(q, band, z) / xs * sin_w)
 
 
 def _bessel_miller(order: int, xs: np.ndarray) -> np.ndarray:
-    """J_order for 0 < x < order: backward recurrence from J_N = 1, J_(N+1) = 0,
-    normalised by 1 = J_0 + 2 sum_k J_2k (DLMF 3.6(vi), 10.12.4)."""
+    """J_order below X_order: backward recurrence from J_N = 1, J_(N+1) = 0,
+    N = _miller_start(order), normalised by 1 = J_0 + 2 sum_k J_2k
+    (DLMF 3.6(vi), 10.12.4)."""
     j_next = np.zeros_like(xs)
     j_cur = np.ones_like(xs)
     norm = 2.0 * j_cur
     value = j_cur
-    for k in range(_MILLER_START, 0, -1):
+    for k in range(_miller_start(order), 0, -1):
         j_next, j_cur = j_cur, (2.0 * k) * j_cur / xs - j_next  # j_cur = J_(k-1)
         if k - 1 == order:
             value = j_cur
@@ -366,16 +388,6 @@ def _bessel_series_array(order: int, xs: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _hankel_upward(order: int, xs: np.ndarray) -> np.ndarray:
-    """J_order for x >= order: Hankel J0 and J1, then upward recurrence."""
-    j_prev, j_cur = _hankel_j01(xs)
-    if order == 0:
-        return j_prev
-    for k in range(1, order):
-        j_prev, j_cur = j_cur, (2.0 * k) * j_cur / xs - j_prev
-    return j_cur
-
-
 def _by_mask(order: int, xs: np.ndarray, mask: np.ndarray, if_true, if_false) -> np.ndarray:
     """if_true(order, x) where mask holds, if_false(order, x) elsewhere."""
     if mask.all():
@@ -389,12 +401,20 @@ def _by_mask(order: int, xs: np.ndarray, mask: np.ndarray, if_true, if_false) ->
 
 
 def _bessel_asymptotic_array(order: int, xs: np.ndarray) -> np.ndarray:
-    """The branch of bessel_j_array above the crossover."""
-    return _by_mask(order, xs, xs < order, _bessel_miller, _hankel_upward)
+    """The branch of bessel_j_array above the crossover: Miller below the
+    order's Hankel edge, the Hankel expansion from it on."""
+    return _by_mask(order, xs, xs < _hankel_edge(order), _bessel_miller, _hankel)
 
 
 def bessel_j_array(order: int, xs: np.ndarray) -> np.ndarray:
     """J_order elementwise, for 0 <= order <= 20 and x >= 0.
+
+    Three regimes: the power series for x <= 12; Miller's backward
+    recurrence for 12 < x < X_order; the order's own Hankel expansion for
+    x >= X_order.  X_order is the lowest band edge of the Hankel expansion
+    from which on every band's truncated sum ends on a term below 1e-17
+    (23.8 for orders up to 9, rising to 113.1 at order 20); Miller starts
+    from the first even N at least 48 above it, and at least 64.
 
     Accuracy contract, tested against mpmath for every order on (0, 500]:
     absolute error at most 5e-12, and relative error at most 1e-10 where

@@ -505,11 +505,17 @@ def check_bessel():
     for k in (0, 1, 2, 5, 11):
         for x, j in zip(xs.tolist(), kernels.bessel_j_array(k, xs).tolist()):
             worst_oracle = max(worst_oracle, abs(j - oracle(k, x)))
+    # both seams: series against Miller around x = 12, and Miller against
+    # the Hankel expansion at each order's edge X_k
     worst_branch = 0.0
     xs = np.linspace(11.0, 13.0, 9)
     for k in (0, 1, 5, 11, 20):
         gap = kernels._bessel_series_array(k, xs) - kernels._bessel_asymptotic_array(k, xs)
         worst_branch = max(worst_branch, float(np.abs(gap).max()))
+    for k in range(kernels._MAX_ORDER + 1):
+        edge = np.array([kernels._hankel_edge(k)])
+        gap = kernels._bessel_miller(k, edge) - kernels._hankel(k, edge)
+        worst_branch = max(worst_branch, float(abs(gap[0])))
     xs = np.linspace(0.5, 30.0, 30)
     orders = (1, 2, 5, 11, 19)
     js = {j: kernels.bessel_j_array(j, xs) for j in {k + d for k in orders for d in (-1, 0, 1)}}

@@ -138,12 +138,17 @@ def test_bessel_against_integral_oracle(order, x):
 
 
 def test_bessel_branch_agreement():
-    # two values each within the 5e-12 contract; 1.9e-12 measured here
+    # two values each within the 5e-12 contract; 1.1e-12 measured at x = 12
+    # and 4.4e-16 at the Hankel edges
     xs = np.linspace(11.0, 13.0, 11)
     for order in (0, 1, 5, 11, 20):
         series = kernels._bessel_series_array(order, xs)
         asymptotic = kernels._bessel_asymptotic_array(order, xs)
         assert float(np.abs(series - asymptotic).max()) < 1e-11
+    for order in range(21):
+        edge = np.array([kernels._hankel_edge(order)])
+        gap = kernels._bessel_miller(order, edge) - kernels._hankel(order, edge)
+        assert abs(float(gap[0])) < 1e-11, order
 
 
 def test_bessel_recurrence():
@@ -177,7 +182,8 @@ def test_bessel_array_matches_scalar():
 
 def test_bessel_array_matches_mpmath():
     """The accuracy contract of bessel_j_array: absolute error <= 5e-12 on
-    (0, 500], relative error <= 1e-10 where x < order."""
+    (0, 500], relative error <= 1e-10 where x < order.  The grid holds both
+    sides of each seam: x = 12, and each order's Hankel edge X_order."""
     mpmath = pytest.importorskip("mpmath")
     grid = np.concatenate([
         np.linspace(0.02, 40.0, 240),
@@ -189,6 +195,8 @@ def test_bessel_array_matches_mpmath():
     with mpmath.workdps(30):
         for order in range(21):
             near = [order - 1e-6, float(order), order + 1e-6] if order else []
+            edge = kernels._hankel_edge(order)
+            near += [np.nextafter(edge, -np.inf), edge]
             xs = np.unique(np.concatenate([grid, near]))
             got = kernels.bessel_j_array(order, xs)
             ref = np.array([float(mpmath.besselj(order, mpmath.mpf(float(x)))) for x in xs])
@@ -524,8 +532,8 @@ def _integral(params, **kwargs):
 
 
 # sha256 of the repr of (value, error_estimate, panels), one line per
-# parameter set, as written by the depth-first panel-at-a-time quadrature
-_QUADRATURE_SHA256 = "cc88a9d68c152286437994c75f704f61306cce3fd1587ae1724705f4c61c027e"
+# parameter set
+_QUADRATURE_SHA256 = "fe16ea08687547f9f4aff9c484da60a245b1a1e4519721565b89b63fbb1df305"
 
 
 def test_double_integral_results_unchanged():
