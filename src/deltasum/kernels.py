@@ -28,7 +28,7 @@ import numpy as np
 
 from .arith import is_prime
 # nothing here reads _unit_roots: perfbench reports its cache hits by this name
-from .characters import _root_table as _unit_roots, additive_orthogonality_sum
+from .characters import _root_table as _unit_roots
 from .expsums import coprime_residue_sum
 
 __all__ = [
@@ -42,7 +42,6 @@ __all__ = [
     "UncalibratedScheme",
     "bessel_j_array",
     "calibrate",
-    "congruence_average",
     "delta_decompose",
     "delta_decompose_lowered",
     "delta_weight_array",
@@ -233,7 +232,8 @@ def _adaptive_gk_1d(f, lo, hi, tol, max_depth=50):
 # ---------------------------------------------------------------------------
 # J-Bessel evaluation in three regimes: the power series up to the crossover
 # x = 12; Miller's backward recurrence from there up to the order's Hankel
-# edge X_order; the order's own Hankel expansion from X_order on
+# edge X_order; the order's own Hankel expansion from X_order on, its phase
+# taken from one tan(x/2) per element
 # ---------------------------------------------------------------------------
 
 BESSEL_CROSSOVER = 12.0
@@ -340,22 +340,37 @@ def _horner(table: np.ndarray, band: np.ndarray, z: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _hankel(order: int, xs: np.ndarray) -> np.ndarray:
-    """J_order for x >= X_order from its own Hankel expansion (DLMF 10.17.3):
-    sqrt(2 / (pi x)) (P cos w - Q sin w) with w = x - pi/4 - order pi/2, the
-    number of terms taken from each element's x band."""
+# sqrt(2) (cos phi, sin phi) for phi = pi/4 + order pi/2, by order mod 4
+_HANKEL_PHASE = ((1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0))
+
+
+def _hankel_pq(order: int, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P and Q of the order's Hankel expansion for x >= X_order, the number
+    of terms taken from each element's x band.  Apart from _hankel, so the
+    band and z arrays are freed before the phase arrays are built."""
     edges, p, q = _hankel_bands(order)
     # x >= edges[0]: the number of later edges at or below x is x's band
     band = np.searchsorted(edges[1:], xs, side="right")
     z = 1.0 / (xs * xs)
-    omega = xs - 0.25 * math.pi
-    cos_w = np.cos(omega)
-    sin_w = np.sin(omega)
-    # each quarter turn back takes (cos, sin) to (sin, -cos), exactly
-    for _ in range(order % 4):
-        cos_w, sin_w = sin_w, -cos_w
-    amp = np.sqrt(2.0 / (math.pi * xs))
-    return amp * (_horner(p, band, z) * cos_w - _horner(q, band, z) / xs * sin_w)
+    return _horner(p, band, z), _horner(q, band, z) / xs
+
+
+def _hankel(order: int, xs: np.ndarray) -> np.ndarray:
+    """J_order for x >= X_order from its own Hankel expansion (DLMF 10.17.3),
+    sqrt(2 / (pi x)) (P cos(x - phi) - Q sin(x - phi)) with
+    phi = pi/4 + order pi/2.
+
+    The shift is folded into P and Q: with (c, s) = sqrt(2) (cos phi,
+    sin phi), each +-1, the sum is (A cos x + B sin x) / sqrt(2) for
+    A = c P + s Q and B = s P - c Q.  cos x and sin x come from one
+    t = tan(x / 2), x / 2 exact, as (1 - t^2, 2 t) / (1 + t^2), so the
+    phase is never rounded."""
+    big_p, big_q = _hankel_pq(order, xs)
+    c, s = _HANKEL_PHASE[order % 4]
+    t = np.tan(0.5 * xs)
+    tt = t * t
+    num = (1.0 - tt) * (c * big_p + s * big_q) + 2.0 * t * (s * big_p - c * big_q)
+    return num / ((1.0 + tt) * np.sqrt(math.pi * xs))
 
 
 def _bessel_miller(order: int, xs: np.ndarray) -> np.ndarray:
@@ -411,15 +426,16 @@ def bessel_j_array(order: int, xs: np.ndarray) -> np.ndarray:
 
     Three regimes: the power series for x <= 12; Miller's backward
     recurrence for 12 < x < X_order; the order's own Hankel expansion for
-    x >= X_order.  X_order is the lowest band edge of the Hankel expansion
-    from which on every band's truncated sum ends on a term below 1e-17
-    (23.8 for orders up to 9, rising to 113.1 at order 20); Miller starts
-    from the first even N at least 48 above it, and at least 64.
+    x >= X_order, two banded Horner sums and one tan(x/2) per element, the
+    phase x unrounded.  X_order is the lowest band edge of the Hankel
+    expansion from which on every band's truncated sum ends on a term below
+    1e-17 (23.8 for orders up to 9, rising to 113.1 at order 20); Miller
+    starts from the first even N at least 48 above it, and at least 64.
 
-    Accuracy contract, tested against mpmath for every order on (0, 500]:
-    absolute error at most 5e-12, and relative error at most 1e-10 where
-    x < order.  Each value depends on (order, x) alone, never on the other
-    elements of the array.
+    Accuracy contract, tested against mpmath for every order: absolute
+    error at most 5e-12 on (0, 2e4], at most 1e-15 on [X_order, 2e4], and
+    relative error at most 1e-10 where x < order.  Each value depends on
+    (order, x) alone, never on the other elements of the array.
     """
     xs = np.asarray(xs, dtype=float)
     if not 0 <= order <= _MAX_ORDER:
@@ -619,13 +635,6 @@ def delta_decompose(n, scheme: DeltaScheme):
 @lru_cache(maxsize=512)
 def _coprime_residues(q: int) -> tuple[int, ...]:
     return tuple(a for a in range(q) if math.gcd(a, q) == 1)
-
-
-def congruence_average(n: int, level: int) -> complex:
-    """(1/P) sum_{b mod P} e(n b / P): exactly 1 when P | n, 0 otherwise
-    up to roundoff. This is the b-average that enforces the congruence in
-    the conductor-lowered scheme."""
-    return additive_orthogonality_sum(level, n, 0) / level
 
 
 def delta_decompose_lowered(n, scheme: DeltaScheme):

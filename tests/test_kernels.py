@@ -208,6 +208,25 @@ def test_bessel_array_matches_mpmath():
                 assert float(rel.max()) <= 1e-10, (order, xs[below][rel.argmax()])
 
 
+def test_hankel_regime_matches_mpmath():
+    """The Hankel-regime contract of bessel_j_array: absolute error <= 1e-15
+    for X_order <= x <= 2e4, a range that holds every argument of the Voronoi
+    dual sums (up to about 1.12e4).  The grid is log-spaced, plus the doubles
+    nearest odd multiples of pi, where |tan(x / 2)| is largest.  532 mpmath
+    evaluations; 2.8e-17 measured (7.1e-15 with the phase x - pi/4 rounded)."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        for order in range(21):
+            edge = kernels._hankel_edge(order)
+            odd = {int(k) | 1 for k in np.geomspace(edge / math.pi, 2e4 / math.pi, 7)}
+            poles = [float(mpmath.pi * k) for k in sorted(odd)]
+            xs = np.concatenate([np.geomspace(edge, 2e4, 20), [x for x in poles if edge <= x <= 2e4]])
+            got = kernels.bessel_j_array(order, xs)
+            ref = np.array([float(mpmath.besselj(order, mpmath.mpf(float(x)))) for x in xs])
+            err = np.abs(got - ref)
+            assert float(err.max()) <= 1e-15, (order, xs[err.argmax()])
+
+
 def test_bessel_rejects_bad_arguments():
     with pytest.raises(ValueError):
         kernels.bessel_j_array(21, np.array([1.0]))
@@ -383,8 +402,6 @@ def test_delta_lowered_examples():
     assert abs(kernels.delta_decompose_lowered(15, scheme)) < 1e-8
     # off-multiples die through the congruence average
     assert abs(kernels.delta_decompose_lowered(7, scheme)) < 1e-8
-    assert abs(kernels.congruence_average(7, 5)) < 1e-12
-    assert kernels.congruence_average(10, 5) == pytest.approx(1.0)
 
 
 def test_delta_lowered_sweep():
@@ -533,7 +550,7 @@ def _integral(params, **kwargs):
 
 # sha256 of the repr of (value, error_estimate, panels), one line per
 # parameter set
-_QUADRATURE_SHA256 = "fe16ea08687547f9f4aff9c484da60a245b1a1e4519721565b89b63fbb1df305"
+_QUADRATURE_SHA256 = "839171f8040258272e5864641fa2219a144d45187621d5cc9cb97dd4702d6a91"
 
 
 def test_double_integral_results_unchanged():

@@ -185,6 +185,7 @@ def test_voronoi_unit_phase(delta_form):
     rep = pipeline.verify_voronoi(f, 1, 1, h)
     assert rep.eta_abs_error <= 1e-6
     assert rep.residual <= 1e-5
+    assert abs(rep.eta - 1) <= 1e-8  # gcd(q, P) = 1: eta = 1 is predicted
 
 
 def test_voronoi_level11_q3():
@@ -193,6 +194,7 @@ def test_voronoi_level11_q3():
     rep = pipeline.verify_voronoi(f, 1, 3, h)
     assert rep.eta_abs_error <= 1e-6
     assert rep.residual <= 1e-5
+    assert abs(rep.eta - 1) <= 1e-8  # gcd(q, P) = 1: eta = 1 is predicted
 
 
 def test_voronoi_linear_in_test_function():
