@@ -232,8 +232,9 @@ def _adaptive_gk_1d(f, lo, hi, tol, max_depth=50):
 # ---------------------------------------------------------------------------
 # J-Bessel evaluation in three regimes: the power series up to the crossover
 # x = 12; Miller's backward recurrence from there up to the order's Hankel
-# edge X_order; the order's own Hankel expansion from X_order on, its phase
-# taken from one tan(x/2) per element
+# edge X_order; the order's own Hankel expansion from X_order on, with the
+# number of terms it takes at X_order and its phase from one tan(x/2) per
+# element
 # ---------------------------------------------------------------------------
 
 BESSEL_CROSSOVER = 12.0
@@ -277,46 +278,36 @@ def _hankel_stop(order: int, x: float) -> tuple[int, float]:
 # neighbours.
 _SERIES_TERMS = tuple(_series_stop(k, BESSEL_CROSSOVER) for k in range(_MAX_ORDER + 1))
 
-# Lower edges of the x bands of the Hankel expansion, ratio 2^(1/4) from 20
-# on.  A band runs the count the stop rule gives at its lower edge; the last
-# band is unbounded.
-_HANKEL_BANDS = np.array([20.0 * 2.0 ** (k / 4.0) for k in range(48)])
+# Candidate Hankel edges, ratio 2^(1/4) from 20 on
+_HANKEL_GRID = np.array([20.0 * 2.0 ** (k / 4.0) for k in range(48)])
 
 
 @lru_cache(maxsize=None)
-def _hankel_bands(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The order's Hankel bands, from its edge X_order on: their lower edges,
-    and the coefficients in z = 1/x^2 of P and of x Q, one row per power of z
-    (lowest first) and one column per band, zero past the band's count:
+def _hankel_terms(order: int) -> tuple[float, tuple[float, ...], tuple[float, ...]]:
+    """The order's Hankel edge X_order, and the coefficients in z = 1/x^2
+    of P and of x Q, highest power first:
     P = sum_k (-1)^k a_2k z^k and Q = x^-1 sum_k (-1)^k a_(2k+1) z^k, with
     a_m = prod_(j <= m) (4 order^2 - (2j - 1)^2) / (8 j).
 
-    X_order is the lowest edge of _HANKEL_BANDS from which on every band's
-    stop rule ends on a term below _HANKEL_TAIL.  A band keeps its edge's
-    count, and past the edge every left-out term is smaller still."""
-    counts = []
-    for edge in reversed(_HANKEL_BANDS.tolist()):
+    X_order is the lowest point of _HANKEL_GRID at which the stop rule ends
+    on a term below _HANKEL_TAIL, and the coefficients are the terms the
+    rule takes there.  Term m falls as x^-m, so past the edge every
+    left-out term is smaller still."""
+    for edge in _HANKEL_GRID.tolist():
         n, tail = _hankel_stop(order, edge)
-        if tail >= _HANKEL_TAIL:
+        if tail < _HANKEL_TAIL:
             break
-        counts.append(n)
-    counts.reverse()
     mu = 4.0 * order * order
     a = [1.0]
-    for m in range(1, max(counts) + 1):
+    for m in range(1, n + 1):
         a.append(a[-1] * (mu - (2.0 * m - 1.0) ** 2) / (m * 8.0))
-    signed = np.array([(-1) ** (m // 2) * a[m] for m in range(len(a))])
-    p = np.zeros((max(counts) // 2 + 1, len(counts)))
-    q = np.zeros_like(p)
-    for i, n in enumerate(counts):
-        p[: n // 2 + 1, i] = signed[0 : n + 1 : 2]
-        q[: (n + 1) // 2, i] = signed[1 : n + 1 : 2]
-    return _HANKEL_BANDS[_HANKEL_BANDS.size - len(counts) :], p, q
+    signed = [(-1) ** (m // 2) * a[m] for m in range(n + 1)]
+    return edge, tuple(signed[0::2][::-1]), tuple(signed[1::2][::-1])
 
 
 def _hankel_edge(order: int) -> float:
     """X_order, where the Hankel expansion takes over from Miller."""
-    return float(_hankel_bands(order)[0][0])
+    return _hankel_terms(order)[0]
 
 
 def _miller_start(order: int) -> int:
@@ -327,32 +318,17 @@ def _miller_start(order: int) -> int:
     return max(64, 2 * math.ceil((_hankel_edge(order) + 48.0) / 2.0))
 
 
-def _horner(table: np.ndarray, band: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """sum_k table[k, band] z^k.  Leading zeros leave the sum bitwise
-    unchanged (0 * z + c = c), so each element gets its own band's sum
-    whatever degree the other elements need."""
-    used = table[:, band.min() : band.max() + 1]
-    degree = int(np.flatnonzero(used.any(axis=1)).max(initial=0))
-    acc = table[degree][band]
-    for k in range(degree - 1, -1, -1):
+def _horner(coeffs: tuple[float, ...], z: np.ndarray) -> np.ndarray:
+    """The polynomial in z with these coefficients, highest power first."""
+    acc = np.full_like(z, coeffs[0])
+    for c in coeffs[1:]:
         acc *= z
-        acc += table[k][band]
+        acc += c
     return acc
 
 
 # sqrt(2) (cos phi, sin phi) for phi = pi/4 + order pi/2, by order mod 4
 _HANKEL_PHASE = ((1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0))
-
-
-def _hankel_pq(order: int, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """P and Q of the order's Hankel expansion for x >= X_order, the number
-    of terms taken from each element's x band.  Apart from _hankel, so the
-    band and z arrays are freed before the phase arrays are built."""
-    edges, p, q = _hankel_bands(order)
-    # x >= edges[0]: the number of later edges at or below x is x's band
-    band = np.searchsorted(edges[1:], xs, side="right")
-    z = 1.0 / (xs * xs)
-    return _horner(p, band, z), _horner(q, band, z) / xs
 
 
 def _hankel(order: int, xs: np.ndarray) -> np.ndarray:
@@ -365,7 +341,10 @@ def _hankel(order: int, xs: np.ndarray) -> np.ndarray:
     A = c P + s Q and B = s P - c Q.  cos x and sin x come from one
     t = tan(x / 2), x / 2 exact, as (1 - t^2, 2 t) / (1 + t^2), so the
     phase is never rounded."""
-    big_p, big_q = _hankel_pq(order, xs)
+    _, p, q = _hankel_terms(order)
+    z = 1.0 / (xs * xs)
+    big_p = _horner(p, z)
+    big_q = _horner(q, z) / xs
     c, s = _HANKEL_PHASE[order % 4]
     t = np.tan(0.5 * xs)
     tt = t * t
@@ -426,11 +405,12 @@ def bessel_j_array(order: int, xs: np.ndarray) -> np.ndarray:
 
     Three regimes: the power series for x <= 12; Miller's backward
     recurrence for 12 < x < X_order; the order's own Hankel expansion for
-    x >= X_order, two banded Horner sums and one tan(x/2) per element, the
-    phase x unrounded.  X_order is the lowest band edge of the Hankel
-    expansion from which on every band's truncated sum ends on a term below
-    1e-17 (23.8 for orders up to 9, rising to 113.1 at order 20); Miller
-    starts from the first even N at least 48 above it, and at least 64.
+    x >= X_order, two Horner sums with the order's fixed coefficients and
+    one tan(x/2) per element, the phase x unrounded.  X_order is the lowest
+    point of a 20 * 2^(k/4) grid at which the order's truncated Hankel sum
+    ends on a term below 1e-17 (23.8 for orders up to 9, rising to 113.1
+    at order 20), and the sum keeps that number of terms above it; Miller
+    starts from the first even N at least 48 above X_order, and at least 64.
 
     Accuracy contract, tested against mpmath for every order: absolute
     error at most 5e-12 on (0, 2e4], at most 1e-15 on [X_order, 2e4], and

@@ -110,14 +110,6 @@ def test_product_bump_bounds():
 # ---------------------------------------------------------------------------
 
 
-def _bessel_oracle(order, x, nodes=8192):
-    """Integral representation (1/pi) int_0^pi cos(k t - x sin t) dt via the
-    trapezoid rule, spectrally accurate for this periodic-even integrand."""
-    ts = np.linspace(0.0, math.pi, nodes + 1)
-    vals = np.cos(order * ts - x * np.sin(ts))
-    return float(np.trapezoid(vals, ts) / math.pi)
-
-
 def test_bessel_at_zero():
     assert kernels.bessel_j_array(0, np.array([0.0]))[0] == 1.0
     assert kernels.bessel_j_array(1, np.array([0.0]))[0] == 0.0
@@ -127,14 +119,11 @@ def test_bessel_first_zero():
     assert abs(kernels.bessel_j_array(1, np.array([3.8317]))[0]) < 1e-3
 
 
-@pytest.mark.parametrize("order", [0, 1, 2, 5, 11, 20])
-@pytest.mark.parametrize("x", [1.0, 5.0, 20.0])
-def test_bessel_against_integral_oracle(order, x):
-    # an oracle independent of mpmath, at the 5e-12 contract plus its own
-    # error (2.2e-16 measured on this grid)
-    assert kernels.bessel_j_array(order, np.array([x]))[0] == pytest.approx(
-        _bessel_oracle(order, x), abs=1e-11
-    )
+def test_hankel_edges():
+    """X_order for orders 0-20, each a point 20 * 2^(j/4) of the grid: the
+    seam between Miller and the Hankel expansion, and Miller's start."""
+    steps = [1] * 10 + [2, 3, 4, 5, 6, 6, 7, 8, 9, 9, 10]
+    assert [kernels._hankel_edge(k) for k in range(21)] == [20.0 * 2.0 ** (j / 4.0) for j in steps]
 
 
 def test_bessel_branch_agreement():
@@ -189,7 +178,7 @@ def test_bessel_array_matches_mpmath():
         np.linspace(0.02, 40.0, 240),
         np.linspace(40.0, 500.0, 93),
         [1.0, 5.0, 20.0],
-        kernels._HANKEL_BANDS[kernels._HANKEL_BANDS <= 500.0],
+        kernels._HANKEL_GRID[kernels._HANKEL_GRID <= 500.0],
         [kernels.BESSEL_CROSSOVER, np.nextafter(kernels.BESSEL_CROSSOVER, np.inf)],
     ])
     with mpmath.workdps(30):

@@ -193,3 +193,27 @@ def test_one_q_loop_for_the_delta_weight():
                     if ident == "delta_weight_array":
                         callers.add((path.name, getattr(top, "name", None)))
     assert callers <= allowed, sorted(callers - allowed, key=str)
+
+
+def test_crt_flag_check_takes_the_crt_path():
+    """verify.check_crt_flag calls expsums.kloosterman(..., use_crt=True):
+    it is the only caller of that path, and the benchmark's verify-all
+    selftest needs expsums.kloosterman.crt_calls to be nonzero."""
+    tree = ast.parse((ROOT / "src" / "deltasum" / "verify.py").read_text())
+    check = next(
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "check_crt_flag"
+    )
+    calls = [
+        node for node in ast.walk(check)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "kloosterman"
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "expsums"
+    ]
+    assert any(
+        kw.arg == "use_crt" and isinstance(kw.value, ast.Constant) and kw.value.value is True
+        for call in calls
+        for kw in call.keywords
+    )
