@@ -346,9 +346,44 @@ class VoronoiReport:
     dual_terms: int
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=1)
 def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(n)
+
+
+def _dual_integrals(
+    order: int, root_scale: float, ns: np.ndarray, hs: tuple[SmoothBump, ...]
+) -> list[np.ndarray]:
+    """I_h(n) = int h(y) J_order(4 pi sqrt(n y) / root_scale) dy for each n
+    in the ascending array ns and each h in hs; every h must have the
+    support [lo, hi] of hs[0], and one Bessel matrix serves them all.
+
+    The phase is linear in u = sqrt(y), so the rule is Gauss-Legendre in u:
+    32 points on each of max(6, ceil(cycles / 10)) equal panels of
+    [sqrt(lo), sqrt(hi)], where cycles = 2 sqrt(ns[-1]) (sqrt(hi) -
+    sqrt(lo)) / root_scale, so every panel holds the same <= 10 cycles; the
+    weight is 2 u du.  Below 6 panels the bump's edges, not the oscillation,
+    set the error (4 panels leave 1.1e-12 where 6 leave 1e-14).
+
+    Contract, tested against scipy's J on a Gauss rule uniform in y with at
+    least one panel per cycle, for the five built-in forms at q in {1, 3},
+    n from the first, a middle and the last block before truncation, and
+    the peak-normalised bumps on [40, 200]: within 1e-12 absolute (worst
+    measured 1.4e-13, E2_11_2 at q = 3).
+    """
+    lo, hi = hs[0].lo, hs[0].hi
+    cycles = 2.0 * math.sqrt(float(ns[-1])) * (math.sqrt(hi) - math.sqrt(lo)) / root_scale
+    panels = max(6, math.ceil(cycles / 10.0))
+    nodes, weights = _leggauss(32)
+    edges = np.linspace(math.sqrt(lo), math.sqrt(hi), panels + 1)
+    mids = 0.5 * (edges[1:] + edges[:-1])
+    half = 0.5 * (edges[1] - edges[0])
+    us = (mids[:, None] + half * nodes[None, :]).ravel()
+    wts = 2.0 * half * us * np.tile(weights, panels)
+    args = np.outer((4.0 * math.pi / root_scale) * np.sqrt(ns), us)
+    jvals = bessel_j_array(order, args.ravel()).reshape(args.shape)
+    ys = us * us
+    return [jvals @ (wts * h.value_array(ys)) for h in hs]
 
 
 def _dual_side(
@@ -357,16 +392,13 @@ def _dual_side(
     """(2 pi / (q sqrt(P2))) sum_n lam(n) e(-n (a P2)^-1 / q) I_h(n) for each
     h in hs, with I_h(n) the Bessel-kernel integral of h, and the number of
     dual terms each used.  The sum for h is truncated once |I_h| stays below
-    truncation_tol for two blocks.  The test functions share one support, so
-    each block's Bessel matrix is built once for all of them."""
-    lo, hi = hs[0].lo, hs[0].hi
-    if any((h.lo, h.hi) != (lo, hi) for h in hs):
-        raise ValueError("the test functions must share one support")
+    truncation_tol for two blocks.  Every h in hs must have the support of
+    hs[0]: each block's quadrature rule and Bessel matrix are built once, on
+    that support, for all of them (see _dual_integrals)."""
     p2 = f.level // gcd(f.level, q)
     root_scale = q * math.sqrt(p2)
     inv = inverse_mod(a * p2, q)
     order = f.weight - 1
-    span = math.sqrt(hi) - math.sqrt(lo)
     block = 256
     re_terms: list[list[float]] = [[] for _ in hs]
     im_terms: list[list[float]] = [[] for _ in hs]
@@ -380,24 +412,11 @@ def _dual_side(
             )
         stop = min(start + block - 1, f.bound)
         ns = np.arange(start, stop + 1)
-        # 16-point Gauss per <= 3 oscillations keeps the panel error near
-        # machine level while the residual tolerance is only 1e-5
-        cycles = 2.0 * math.sqrt(float(ns[-1])) * span / root_scale
-        panels = max(4, int(math.ceil(cycles / 3.0)))
-        nodes, weights = _leggauss(16)
-        edges = np.linspace(lo, hi, panels + 1)
-        mids = 0.5 * (edges[1:] + edges[:-1])
-        half = 0.5 * (edges[1] - edges[0])
-        ys = (mids[:, None] + half * nodes[None, :]).ravel()
-        wts = (half * weights)[None, :].repeat(panels, axis=0).ravel()
-        args = (4.0 * math.pi / root_scale) * np.sqrt(np.outer(ns, ys))
-        jvals = bessel_j_array(order, args.ravel()).reshape(args.shape)
+        active = [i for i, quiet in enumerate(quiet_blocks) if quiet < 2]
+        block_integrals = _dual_integrals(order, root_scale, ns, tuple(hs[i] for i in active))
         lam = f.lam(ns)
         phases = np.array(_root_table(q))[(-inv * ns) % q]
-        for i, h in enumerate(hs):
-            if quiet_blocks[i] >= 2:
-                continue
-            integrals = jvals @ (wts * h.value_array(ys))
+        for i, integrals in zip(active, block_integrals):
             terms = lam * integrals * phases
             re_terms[i].extend(terms.real.tolist())
             im_terms[i].extend(terms.imag.tolist())

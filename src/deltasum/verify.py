@@ -721,18 +721,29 @@ def check_voronoi():
     )
 
 
-@_check("pipeline.voronoi-ramified", "ramified dual-summation cases (reported, not asserted)")
+@_check(
+    "pipeline.voronoi-ramified",
+    "ramified dual-summation phase is the Atkin-Lehner sign, cross-validated",
+)
 def check_voronoi_ramified():
+    # where the prime level P divides q the dual side's normalisation
+    # absorbs the Atkin-Lehner eigenvalue w_P = -a(P) / P^(k/2 - 1), so the
+    # solved phase is predicted: +1 for E8_2_8 and -1 for E2_11_2
     h = _voronoi_window()
     rows = []
+    ok = True
     for fid, q in (("E8_2_8", 2), ("E2_11_2", 11)):
         f = modforms.builtin_form(fid, bound=pipeline.VORONOI_BOUNDS[fid])
+        w_p = -f.a(f.level) / f.level ** (f.weight // 2 - 1)
         rep = pipeline.verify_voronoi(f, 1, q, h)
+        eta_error = abs(rep.eta - w_p)
+        ok = ok and eta_error <= 1e-8 and rep.residual <= 1e-5
         rows.append(
-            f"{fid} q={q}: eta=({_fmt(rep.eta.real)}, {_fmt(rep.eta.imag)}), "
-            f"|eta|-1={_fmt(rep.eta_abs_error)}, residual={_fmt(rep.residual)}"
+            f"{fid} q={q}: w_P={_fmt(w_p)}, |eta-w_P|={_fmt(eta_error)} "
+            f"({_fmt(eta_error / 1e-8)} of tolerance 1e-8), residual={_fmt(rep.residual)} "
+            f"({_fmt(rep.residual / 1e-5)} of tolerance 1e-5)"
         )
-    return MONITOR, "; ".join(rows)
+    return PASS if ok else FAIL, "; ".join(rows)
 
 
 def _moment_by_classes(f, modulus: int, x_scale: float, h) -> float:

@@ -220,11 +220,47 @@ def test_dual_side_fused_matches_separate(form_id, q):
     assert [(repr(z), n) for z, n in fused] == [(repr(z), n) for z, n in separate]
 
 
-def test_dual_side_rejects_mixed_supports(delta_form):
-    h = SmoothBump(40.0, 200.0, sharpness=1.0, normalization="peak")
-    wide = SmoothBump(30.0, 200.0, sharpness=1.0, normalization="peak")
-    with pytest.raises(ValueError):
-        pipeline._dual_side(delta_form, 1, 1, (h, wide), 1e-12)
+def _y_uniform_integral(jv, order, root_scale, n, h):
+    # the oracle rule: 20-point Gauss-Legendre on equal panels in y, at least
+    # one per cycle of the phase and at least 40 for the bump's edges
+    cycles = 2.0 * math.sqrt(n) * (math.sqrt(h.hi) - math.sqrt(h.lo)) / root_scale
+    panels = max(40, math.ceil(cycles))
+    nodes, weights = np.polynomial.legendre.leggauss(20)
+    edges = np.linspace(h.lo, h.hi, panels + 1)
+    half = 0.5 * (edges[1] - edges[0])
+    ys = (0.5 * (edges[1:] + edges[:-1])[:, None] + half * nodes).ravel()
+    values = jv(order, (4.0 * math.pi / root_scale) * np.sqrt(n * ys)) * h.value_array(ys)
+    return float(values @ np.tile(half * weights, panels))
+
+
+@pytest.mark.parametrize("q", [1, 3])
+@pytest.mark.parametrize("form_id", modforms.BUILTIN_FORM_IDS)
+def test_dual_integrals_match_independent_oracle(form_id, q):
+    # _dual_integrals' contract: I_h(n) within 1e-12 absolute of scipy's J
+    # on a rule uniform in y, for n from the first block, a middle block and
+    # the last block before the two quiet blocks that end the sum
+    jv = pytest.importorskip("scipy.special").jv
+    f = modforms.builtin_form(form_id, bound=pipeline.VORONOI_BOUNDS[form_id])
+    hs = (
+        SmoothBump(40.0, 200.0, sharpness=1.0, normalization="peak"),
+        SmoothBump(40.0, 200.0, sharpness=1.7, normalization="peak"),
+    )
+    used = max(n for _, n in pipeline._dual_side(f, 1, q, hs, 1e-12))
+    p2 = f.level // math.gcd(f.level, q)
+    root_scale = q * math.sqrt(p2)
+    last = used // 256 - 3
+    worst = 0.0
+    for b in sorted({0, last // 2, last}):
+        start, stop = 256 * b + 1, 256 * b + 256
+        # the rule depends on the block's largest n alone, so a subset ending
+        # there gets the block's own integrals
+        ns = np.array([start, start + 1, (start + stop) // 2, stop])
+        got = pipeline._dual_integrals(f.weight - 1, root_scale, ns, hs)
+        for h, values in zip(hs, got):
+            for n, value in zip(ns, values):
+                oracle = _y_uniform_integral(jv, f.weight - 1, root_scale, int(n), h)
+                worst = max(worst, abs(value - oracle))
+    assert worst <= 1e-12, worst
 
 
 def test_voronoi_rejects_shared_factor(delta_form):
