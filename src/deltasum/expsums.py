@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from ._backend import kloosterman_raw
-from .arith import divisors, factorize, gcd3, inverse_mod, mobius, tau
+from .arith import factorize, gcd3, inverse_mod, tau
 
 __all__ = [
     "KloostermanValue",
@@ -95,16 +95,19 @@ def kloosterman(a: int, b: int, c: int, use_crt: bool = False) -> KloostermanVal
 def ramanujan_sum(q: int, n):
     """c_q(n) = S(n, 0; q) = sum_{d | q} d mu(q/d) [d | n], exactly.
 
-    n may be an int or an integer numpy array; the result is an int or an
-    int64 array of the same shape.
+    Only the d with q/d squarefree enter: q is factored once, and each set
+    S of its primes gives d = q / prod S with mu(q/d) = (-1)^|S|.  n may be
+    an int or an integer numpy array; the result is an int or an int64
+    array of the same shape.
     """
     if q < 1:
         raise ValueError("modulus must be positive")
+    terms = [(q, 1)]
+    for p, _ in factorize(q).factors:
+        terms += [(d // p, -mu) for d, mu in terms]
     total = 0
-    for d in divisors(q):
-        mu = mobius(q // d)
-        if mu:
-            total = total + d * mu * (n % d == 0)
+    for d, mu in terms:
+        total = total + d * mu * (n % d == 0)
     return total
 
 

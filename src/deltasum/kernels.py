@@ -532,12 +532,16 @@ class DeltaScheme:
 def _weight_columns(scheme: DeltaScheme, ns):
     """(q, live, g) for each q in 1..q_max(max |n|) whose weight
     g(q/Q, n/(P Q^2)) is nonzero at some n of ns: live indexes those n and
-    g holds their weights.  The one q-loop of the delta symbol."""
+    g holds their weights.  The one q-loop of the delta symbol.
+
+    The weight is evaluated once per q on the distinct |n|, sorted, and
+    scattered back to ns; each value depends on (x, y) alone, so g is the
+    same as on ns itself."""
     q_scale = scheme.q_scale
-    ns_abs = np.abs(np.asarray(ns))
-    ys = ns_abs / (scheme.level * q_scale * q_scale)
-    for q in range(1, scheme.q_max(int(ns_abs.max(initial=0))) + 1):
-        gvals = delta_weight_array(q / q_scale, ys, scheme.bump)
+    distinct, inverse = np.unique(np.abs(np.asarray(ns)), return_inverse=True)
+    ys = distinct / (scheme.level * q_scale * q_scale)
+    for q in range(1, scheme.q_max(int(distinct.max(initial=0))) + 1):
+        gvals = delta_weight_array(q / q_scale, ys, scheme.bump)[inverse]
         live = np.flatnonzero(gvals)
         if live.size:
             yield q, live, gvals[live]
@@ -591,10 +595,13 @@ def _decompose(n, scheme: DeltaScheme):
         raise UncalibratedScheme("call calibrate() first")
     ns = np.asarray(n, dtype=np.int64)
     flat = np.abs(ns.ravel())
+    level = scheme.level
     terms = np.zeros((flat.size, scheme.q_max(int(flat.max(initial=0)))))
     for q, live, g in _weight_columns(scheme, flat):
-        terms[live, q - 1] = coprime_residue_sum(q, scheme.level, flat[live]) * g
-    return _row_sums(terms, scheme.level * scheme.q_scale * scheme.q_scale, scheme, ns.shape)
+        # the gamma-sum has period qP in n: one table of it, one residue per n
+        table = coprime_residue_sum(q, level, np.arange(q * level))
+        terms[live, q - 1] = table[flat[live] % (q * level)] * g
+    return _row_sums(terms, level * scheme.q_scale * scheme.q_scale, scheme, ns.shape)
 
 
 def delta_decompose(n, scheme: DeltaScheme):

@@ -210,16 +210,33 @@ def _pair_amplitudes(spec: ShiftedSumSpec) -> tuple[np.ndarray, np.ndarray]:
     return ts[keep], amps[keep]
 
 
+def _gamma_sums(q: int, level: int, ts: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The gamma-sums of the decomposition at each t, as exact int64s: the
+    whole sum over gamma mod qP with gcd(gamma, q) = 1, P [P | t] c_q(t/P),
+    and, for P > 1 not dividing q, the coprime stratum c_{qP}(t) and the
+    gamma-multiple stratum c_q(t).
+
+    Each form has period qP in t, so each is evaluated by its own function
+    on the residues 0..qP-1 and read at t mod qP: the same integers as on
+    t itself, and the strata are never derived from the whole."""
+    qp = q * level
+    residues = np.arange(qp)
+    res = ts % qp
+    whole = coprime_residue_sum(q, level, residues)[res]
+    if level == 1 or q % level == 0:
+        return (whole,)
+    return whole, ramanujan_sum(qp, residues)[res], ramanujan_sum(q, residues)[res]
+
+
 def _decomposition(
     spec: ShiftedSumSpec, scheme: DeltaScheme, ts: np.ndarray, amps: np.ndarray
 ) -> tuple[float, float, float, float]:
     """(total, coprime, gamma, modulus) in one pass over q.
 
-    Each gamma-sum has a closed Ramanujan form: the whole sum over gamma
-    mod qP with gcd(gamma, q) = 1 is P [P | t] c_q(t/P); for P not dividing
-    q the coprime stratum is c_{qP}(t) and the gamma-multiple stratum
-    c_q(t), which add up to the whole; for P | q the whole sum is the
-    modulus stratum.  At level 1 everything is the coprime stratum.
+    The gamma-sums are the closed Ramanujan forms of _gamma_sums.  For P
+    not dividing q the coprime and gamma-multiple strata add up to the
+    whole sum; for P | q the whole sum is the modulus stratum.  At level 1
+    everything is the coprime stratum.
     """
     level = spec.level
     total: list[float] = []
@@ -227,16 +244,16 @@ def _decomposition(
     gamma: list[float] = []
     modulus: list[float] = []
     for q, live, g in _weight_columns(scheme, ts):
-        tsq = ts[live]
         weight = amps[live] * g
-        total.append(float(weight @ coprime_residue_sum(q, level, tsq)))
+        sums = [float(weight @ values) for values in _gamma_sums(q, level, ts[live])]
+        total.append(sums[0])
         if level == 1:
-            coprime.append(total[-1])
+            coprime.append(sums[0])
         elif q % level:
-            coprime.append(float(weight @ ramanujan_sum(q * level, tsq)))
-            gamma.append(float(weight @ ramanujan_sum(q, tsq)))
+            coprime.append(sums[1])
+            gamma.append(sums[2])
         else:
-            modulus.append(total[-1])
+            modulus.append(sums[0])
     norm = scheme.raw_zero * (level * scheme.q_scale * scheme.q_scale)
     return tuple(math.fsum(part) / norm for part in (total, coprime, gamma, modulus))
 

@@ -142,6 +142,19 @@ def test_ramanujan_sum_formula():
         assert values.tolist() == [expsums.ramanujan_sum(q, int(n)) for n in ns]
 
 
+def test_ramanujan_sum_matches_divisor_mobius_sum():
+    """The array path against the literal sum over every divisor d of q of
+    d mu(q/d) [d | n], for every q < 2500 on [-3000, 3000)."""
+    ns = np.arange(-3000, 3000, dtype=np.int64)
+    for q in range(1, 2500):
+        literal = np.zeros_like(ns)
+        for d in arith.divisors(q):
+            mu = arith.mobius(q // d)
+            if mu:
+                literal += d * mu * (ns % d == 0)
+        assert np.array_equal(expsums.ramanujan_sum(q, ns), literal), q
+
+
 def test_recombine_residues():
     assert expsums.recombine_residues(1, 3) == [0, 1, 2]
     assert expsums.recombine_residues(2, 3) == [1, 3, 5]

@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -9,7 +10,13 @@ import pytest
 
 from deltasum import modforms, pipeline, verify
 from deltasum.expsums import coprime_residue_sum, kloosterman, ramanujan_sum
-from deltasum.kernels import SmoothBump, Stratum
+from deltasum.kernels import (
+    DeltaScheme,
+    SmoothBump,
+    Stratum,
+    _weight_columns,
+    delta_weight_array,
+)
 
 
 def _spec(f, m, r, x, y=None):
@@ -136,6 +143,66 @@ def test_gamma_sum_closed_forms(level):
         assert np.abs(literal(gammas[gammas % level != 0], qp) - coprime).max() <= 1e-12
         assert np.abs(literal(gammas[gammas % level == 0], qp) - multiple).max() <= 1e-12
         assert np.array_equal(coprime + multiple, whole), q
+
+
+@pytest.mark.parametrize("level", [1, 2, 3, 5, 11])
+def test_gamma_sums_from_residue_tables_are_exact(level):
+    """_gamma_sums reads each closed form from a table over t mod qP; at
+    signed t, the shifted sums' t-range spanning 0, the values are the
+    int64s of coprime_residue_sum and ramanujan_sum evaluated on t itself."""
+    ts = np.arange(-3000, 3000, dtype=np.int64)
+    for q in range(1, 201):
+        want = [coprime_residue_sum(q, level, ts)]
+        if level > 1 and q % level:
+            want += [ramanujan_sum(q * level, ts), ramanujan_sum(q, ts)]
+        got = pipeline._gamma_sums(q, level, ts)
+        assert len(got) == len(want), q
+        for values, expected in zip(got, want):
+            assert values.dtype == np.int64 and np.array_equal(values, expected), q
+
+
+@pytest.mark.parametrize("level", [1, 2, 11])
+def test_weight_columns_match_the_weight_on_signed_n(level):
+    """_weight_columns evaluates the weight once per q on the distinct |n|;
+    its (q, live, g) equal, bit for bit, those read from delta_weight_array
+    on the raw signed array, duplicates and zeros included."""
+    rng = np.random.default_rng(19)
+    ns = np.concatenate([rng.integers(-8000, 8000, 3000), [0, 0, 5, -5, 7999, -8000]])
+    q_scale = pipeline.q_cap(2000.0, 2000.0, level)
+    scheme = DeltaScheme(q_scale, level, pipeline.default_delta_bump())
+    ys = ns / (level * q_scale * q_scale)
+    want = []
+    for q in range(1, scheme.q_max(8000) + 1):
+        g = delta_weight_array(q / q_scale, ys, scheme.bump)
+        live = np.flatnonzero(g)
+        if live.size:
+            want.append((q, live, g[live]))
+    got = list(_weight_columns(scheme, ns))
+    assert [q for q, _, _ in got] == [q for q, _, _ in want]
+    for (q, live, g), (_, live_want, g_want) in zip(got, want):
+        assert np.array_equal(live, live_want) and np.array_equal(g, g_want), q
+
+
+def _ladder_top_rung():
+    """repr of shifted_sum_delta for one spec per built-in form at X = Y =
+    2000, the top rung of the benchmark's shifted-sum ladder: r = 1 and the
+    least shift modulus in (2, 3, 5, 7) coprime to the level."""
+    lines = []
+    for form_id in modforms.BUILTIN_FORM_IDS:
+        f = modforms.builtin_form(form_id, bound=5000)
+        m = next(m for m in (2, 3, 5, 7) if gcd(m, f.level) == 1)
+        lines.append(repr(pipeline.shifted_sum_delta(_spec(f, m, 1, 2000.0))))
+    return lines
+
+
+# sha256 of _ladder_top_rung, joined by newlines, as written when each
+# gamma-sum was evaluated on every live t and the weight on every t
+_LADDER_SHA256 = "efb387b5fbf9813fb6eff7db2c91125ae5fd984c5ec60d50fbaf4ca4ce6385f6"
+
+
+def test_ladder_top_rung_unchanged():
+    digest = hashlib.sha256("\n".join(_ladder_top_rung()).encode()).hexdigest()
+    assert digest == _LADDER_SHA256
 
 
 def test_kloosterman_collapse_examples():
