@@ -4,17 +4,18 @@ double integral that appears after dual summation.
 
 Numerical conventions, fixed for reproducibility:
 
-- the q-sum of the decompositions and the quadrature panel sums go
-  through math.fsum (exactly rounded); the a- and b-sums are the exact
-  integer closed form P [P | n] c_q(n/P); the short j-sum of the delta
-  weight is added in order, j = 1 first;
+- the q-sum of the decompositions goes through math.fsum (exactly
+  rounded); the a- and b-sums are the exact integer closed form
+  P [P | n] c_q(n/P); the short j-sum of the delta weight is added in
+  order, j = 1 first;
 - the decomposition value is the raw sum divided by the raw sum at n = 0;
   at n = 0 the plain raw sum has exactly the terms of the calibration sum,
   so the plain anchor is exact;
-- adaptive quadrature subdivides one generation of panels at a time; each
-  panel's accept-or-split decision depends on that panel alone, so the
-  panel tree, and with math.fsum the total, do not depend on the order in
-  which panels are evaluated.
+- both Bessel-kernel integrals, the Voronoi dual integrals of the pipeline
+  and the double integral here, take one fixed rule, _sqrt_gauss_rule:
+  Gauss-Legendre in u = sqrt(y), where the Bessel phase is linear, on
+  equal panels of at most 10 cycles each.  Nothing adapts, so the nodes
+  depend on the parameters alone.
 """
 
 from __future__ import annotations
@@ -689,43 +690,30 @@ def truncation_ranges(
     return t1, t2
 
 
-# panels evaluated together: their 15 x 15 meshes hold about _CHUNK elements
-_PANELS_PER_PASS = max(1, _CHUNK // _K_NODES.size**2)
+@lru_cache(maxsize=None)
+def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.polynomial.legendre.leggauss(n)
 
 
-def _panel_rules(
-    panels, a, b, order, g_x_arg, shift, p_q2, window, x_scale, y_scale, bump
-):
-    """GK15 x GK15 tensor rule on each row (x0, x1, y0, y1) of panels;
-    returns the Kronrod values and the estimates |kronrod - gauss| as lists.
-    Every array step is elementwise, so a panel's numbers do not depend on
-    the other panels of the call."""
-    x0, x1, y0, y1 = panels.T
-    hx = 0.5 * (x1 - x0)
-    hy = 0.5 * (y1 - y0)
-    xs = (0.5 * (x1 + x0))[:, None] + hx[:, None] * _K_NODES
-    ys = (0.5 * (y1 + y0))[:, None] + hy[:, None] * _K_NODES
-    fx = window.fx.value_array(xs / x_scale)
-    fy = window.fy.value_array(ys / y_scale)
-    jx = bessel_j_array(order, 4.0 * math.pi * a * np.sqrt(xs))
-    jy = bessel_j_array(order, 4.0 * math.pi * b * np.sqrt(ys))
-    col = fx * jx / np.sqrt(xs)
-    row = fy * jy / np.sqrt(ys)
-    mesh = xs[:, :, None] - ys[:, None, :] + shift
-    gvals = delta_weight_array(g_x_arg, mesh / p_q2, bump)
-    integrand = col[:, :, None] * row[:, None, :] * gvals
-    # C order, as the one-panel meshes had: matmul's order of adds follows
-    # the strides, and fancy indexing leaves the panel axis innermost
-    gauss = integrand[:, _G_INDEX][:, :, _G_INDEX].copy()
-    values: list[float] = []
-    errors: list[float] = []
-    # one panel at a time: a stacked matmul adds in another order
-    for hxi, hyi, k_mesh, g_mesh in zip(hx.tolist(), hy.tolist(), integrand, gauss):
-        k_val = hxi * hyi * float(_K_WEIGHTS @ k_mesh @ _K_WEIGHTS)
-        g_val = hxi * hyi * float(_G_WEIGHTS @ g_mesh @ _G_WEIGHTS)
-        values.append(k_val)
-        errors.append(abs(k_val - g_val))
-    return values, errors
+def _sqrt_gauss_rule(
+    lo: float, hi: float, cycles: float, points: int
+) -> tuple[np.ndarray, float, np.ndarray]:
+    """The rule of both Bessel-kernel integrals: Gauss-Legendre in
+    u = sqrt(y), where the phase of J(c sqrt(y)) is linear, with `points`
+    nodes on each of max(6, ceil(cycles / 10)) equal panels of
+    [sqrt(lo), sqrt(hi)].  cycles counts the kernel's oscillations over the
+    interval, so every panel holds the same <= 10 of them; below 6 panels
+    the bumps' edges, not the oscillation, set the error.
+
+    Returns the nodes u, the half panel width and the Gauss weights tiled
+    per panel: int f(u) du ~ half sum weights f(u)."""
+    panels = max(6, math.ceil(cycles / 10.0))
+    nodes, weights = _leggauss(points)
+    edges = np.linspace(math.sqrt(lo), math.sqrt(hi), panels + 1)
+    mids = 0.5 * (edges[1:] + edges[:-1])
+    half = 0.5 * (edges[1] - edges[0])
+    us = (mids[:, None] + half * nodes[None, :]).ravel()
+    return us, half, np.tile(weights, panels)
 
 
 def double_bessel_integral(
@@ -742,27 +730,22 @@ def double_bessel_integral(
     order: int,
     bump: SmoothBump,
     abs_tol: float | None = None,
-    max_depth: int = 12,
-    max_panels: int = 40000,
 ) -> QuadratureResult:
     """The double integral of (xy)^(-1/2) F(x/X, y/Y)
     g(q c / Q, (x - y + rM)/(P Q^2)) J_order(4 pi a sqrt(x))
     J_order(4 pi b sqrt(y)) over the support box of F.
 
-    Adaptive tensor Gauss-Kronrod with oscillation-aware pre-splitting at
-    the Bessel zero spacing.  Subdivision goes one generation at a time:
-    every panel of a depth is evaluated together, in passes of at most
-    _PANELS_PER_PASS panels; a panel within its share of abs_tol (or at
-    max_depth) is accepted, and each other panel splits into four for the
-    next depth.  A panel's accept-or-split decision depends on that panel
-    alone, so the tree of panels is the same in any traversal order, and
-    the exactly rounded math.fsum makes the total independent of order too.
+    In u = sqrt(x), v = sqrt(y) it is 4 int int fx(u^2/X) fy(v^2/Y)
+    g(q c / Q, (u^2 - v^2 + rM)/(P Q^2)) J_order(4 pi a u) J_order(4 pi b v)
+    du dv, and both Bessel phases are linear.  Each axis takes the rule of
+    the Voronoi dual integrals, _sqrt_gauss_rule with cycles =
+    2 a (sqrt(x_hi) - sqrt(x_lo)) (b and y on the other), and the weight is
+    one delta_weight_array call on the tensor mesh.  The value takes 32
+    points per panel; error_estimate is its distance from the same panels
+    at 24 points, and panels counts the tensor panels.
 
-    NumericalFailure is raised when the tree would hold more than
-    max_panels panels, before any panel past the budget is evaluated, or
-    when the accepted errors add up to more than abs_tol.  For a budget
-    overflow its value and error_estimate cover the accepted panels and
-    the unresolved frontier (NaN and inf before the first generation).
+    NumericalFailure, carrying the value and the estimate, is raised when
+    the estimate exceeds abs_tol.
     """
     if a <= 0 or b <= 0:
         raise ValueError("a and b must be positive")
@@ -770,68 +753,30 @@ def double_bessel_integral(
         abs_tol = (
             1e-9 * window.z_bound * math.sqrt(x_scale * y_scale) * q_cap / (q * c_scale)
         )
-    g_x_arg = q * c_scale / q_cap
-    p_q2 = level * q_cap * q_cap
-    x_lo, x_hi = window.fx.lo * x_scale, window.fx.hi * x_scale
-    y_lo, y_hi = window.fy.lo * y_scale, window.fy.hi * y_scale
 
-    def initial_edges(lo, hi, freq, scale):
-        if freq * math.sqrt(scale) <= 10.0:
-            return [lo, hi]
+    def axis(f, scale, freq, points):
+        """Squared nodes, weighted factors half w f(u^2/scale) J(4 pi freq u)
+        and panel count on one axis."""
+        lo, hi = f.lo * scale, f.hi * scale
         cycles = 2.0 * freq * (math.sqrt(hi) - math.sqrt(lo))
-        n_panels = int(min(48, max(1, math.ceil(cycles / 2.0))))
-        return list(np.linspace(lo, hi, n_panels + 1))
+        us, half, weights = _sqrt_gauss_rule(lo, hi, cycles, points)
+        xs = us * us
+        jvals = bessel_j_array(order, 4.0 * math.pi * freq * us)
+        return xs, half * weights * f.value_array(xs / scale) * jvals, us.size // points
 
-    ex = initial_edges(x_lo, x_hi, a, x_scale)
-    ey = initial_edges(y_lo, y_hi, b, y_scale)
-    area = (x_hi - x_lo) * (y_hi - y_lo)
-    generation = np.array(
-        [(x0, x1, y0, y1) for x0, x1 in zip(ex, ex[1:]) for y0, y1 in zip(ey, ey[1:])]
-    )
-    pieces: list[float] = []
-    errs: list[float] = []
-    # the unresolved frontier: the box itself until a generation is evaluated
-    open_vals, open_errs = [math.nan], [math.inf]
-    n_panels = 0
-    depth = 0
-    while generation.size:
-        if n_panels + len(generation) > max_panels:
-            value = math.fsum(pieces + open_vals)
-            err_total = math.fsum(errs + open_errs)
-            raise NumericalFailure(
-                f"quadrature panel budget of {max_panels} exhausted at error "
-                f"{err_total} (tolerance {abs_tol})",
-                value,
-                err_total,
-            )
-        n_panels += len(generation)
-        vals, ests = [], []
-        for start in range(0, len(generation), _PANELS_PER_PASS):
-            v, e = _panel_rules(
-                generation[start : start + _PANELS_PER_PASS], a, b, order, g_x_arg,
-                r_shift, p_q2, window, x_scale, y_scale, bump,
-            )
-            vals += v
-            ests += e
-        x0, x1, y0, y1 = generation.T
-        local_tol = abs_tol * np.maximum((x1 - x0) * (y1 - y0) / area, 1e-16)
-        vals, ests = np.array(vals), np.array(ests)
-        done = (ests <= local_tol) | (depth >= max_depth)
-        pieces += vals[done].tolist()
-        errs += ests[done].tolist()
-        open_vals, open_errs = vals[~done].tolist(), ests[~done].tolist()
-        x0, x1, y0, y1 = generation[~done].T
-        xm = 0.5 * (x0 + x1)
-        ym = 0.5 * (y0 + y1)
-        quads = [(x0, xm, y0, ym), (x0, xm, ym, y1), (xm, x1, y0, ym), (xm, x1, ym, y1)]
-        generation = np.array(quads).transpose(2, 0, 1).reshape(-1, 4)
-        depth += 1
-    value = math.fsum(pieces)
-    err_total = math.fsum(errs)
-    if err_total > abs_tol:
+    def tensor_rule(points):
+        xs, col, x_panels = axis(window.fx, x_scale, a, points)
+        ys, row, y_panels = axis(window.fy, y_scale, b, points)
+        mesh = (xs[:, None] - ys[None, :] + r_shift) / (level * q_cap * q_cap)
+        gvals = delta_weight_array(q * c_scale / q_cap, mesh, bump)
+        return 4.0 * float(col @ gvals @ row), x_panels * y_panels
+
+    value, panels = tensor_rule(32)
+    estimate = abs(value - tensor_rule(24)[0])
+    if estimate > abs_tol:
         raise NumericalFailure(
-            f"quadrature stalled at error {err_total} (tolerance {abs_tol})",
+            f"quadrature error estimate {estimate} exceeds tolerance {abs_tol}",
             value,
-            err_total,
+            estimate,
         )
-    return QuadratureResult(value, err_total, n_panels)
+    return QuadratureResult(value, estimate, panels)

@@ -20,8 +20,8 @@ integer whose base-256^w digits are the coefficients, written with
 `int.to_bytes` and read back with `int.from_bytes` after a bias of half a
 digit makes every digit of the product nonnegative. Packing and unpacking
 cost time linear in the number of digits, so one big-integer
-multiplication per product dominates; series inversion (negative eta
-exponents) runs over the sparse nonzero terms of the Euler factor.
+multiplication per product dominates. Every eta exponent is positive, so
+no series is ever inverted.
 """
 
 from __future__ import annotations
@@ -107,26 +107,6 @@ def _poly_pow_trunc(a: list[int], k: int, n_max: int) -> list[int]:
     return result
 
 
-def _poly_inv_trunc(a: list[int], n_max: int) -> list[int]:
-    """Inverse of a unit power series with a[0] = +-1, exact integers.
-
-    The recurrence runs over the nonzero terms of a only: an Euler factor
-    has O(sqrt(n_max)) of them (the pentagonal numbers)."""
-    lead = a[0]
-    if lead not in (1, -1):
-        raise ValueError("series inversion requires leading coefficient +-1")
-    terms = [(j, a[j]) for j in range(1, min(len(a) - 1, n_max) + 1) if a[j]]
-    out = [lead]
-    for n in range(1, n_max + 1):
-        acc = 0
-        for j, aj in terms:
-            if j > n:
-                break
-            acc += aj * out[n - j]
-        out.append(-lead * acc)
-    return out
-
-
 def _euler_series(scale: int, n_max: int) -> list[int]:
     """prod_{n >= 1} (1 - q^(scale*n)) via generalized pentagonal numbers."""
     out = [0] * (n_max + 1)
@@ -151,24 +131,22 @@ def eta_product_series(
 ) -> list[int]:
     """Coefficients a(n) of prod eta(t z)^e / q^lead, indexed so a(1) = 1.
 
-    lead = sum(e*t)/24 must be a positive integer (rejected otherwise);
-    a(n) is the coefficient of q^(n-1) in the product of the Euler factors.
+    Every exponent e must be positive and lead = sum(e*t)/24 a positive
+    integer (rejected otherwise); a(n) is the coefficient of q^(n-1) in the
+    product of the Euler factors.
     """
     if bound < 1 or bound > 250_000:
         raise ValueError(f"bound {bound} must be in [1, 250000]")
+    if any(e <= 0 for _, e in exponent_pairs):
+        raise ValueError(f"eta exponents {exponent_pairs} must be positive")
     lead = Fraction(sum(e * t for t, e in exponent_pairs), 24)
     if lead.denominator != 1 or lead <= 0:
         raise ValueError(f"leading q-power {lead} is not a positive integer")
     n_max = bound - 1
-    # lead > 0, so some e is nonzero and the product has a first factor
+    # lead > 0, so the product has a first factor
     series = None
     for t, e in exponent_pairs:
-        if e == 0:
-            continue
-        factor = _euler_series(t, n_max)
-        if e < 0:
-            factor = _poly_inv_trunc(factor, n_max)
-        power = _poly_pow_trunc(factor, abs(e), n_max)
+        power = _poly_pow_trunc(_euler_series(t, n_max), e, n_max)
         series = power if series is None else _poly_mul_trunc(series, power, n_max)
     coeffs = [0] * (bound + 1)
     for n in range(1, bound + 1):

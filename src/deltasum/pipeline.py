@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd
 
 import numpy as np
@@ -25,6 +24,7 @@ from .kernels import (
     SmoothBump,
     Stratum,
     _coprime_residues,
+    _sqrt_gauss_rule,
     _weight_columns,
     bessel_j_array,
     calibrate,
@@ -363,11 +363,6 @@ class VoronoiReport:
     dual_terms: int
 
 
-@lru_cache(maxsize=1)
-def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(n)
-
-
 def _dual_integrals(
     order: int, root_scale: float, ns: np.ndarray, hs: tuple[SmoothBump, ...]
 ) -> list[np.ndarray]:
@@ -375,12 +370,12 @@ def _dual_integrals(
     in the ascending array ns and each h in hs; every h must have the
     support [lo, hi] of hs[0], and one Bessel matrix serves them all.
 
-    The phase is linear in u = sqrt(y), so the rule is Gauss-Legendre in u:
-    32 points on each of max(6, ceil(cycles / 10)) equal panels of
-    [sqrt(lo), sqrt(hi)], where cycles = 2 sqrt(ns[-1]) (sqrt(hi) -
-    sqrt(lo)) / root_scale, so every panel holds the same <= 10 cycles; the
-    weight is 2 u du.  Below 6 panels the bump's edges, not the oscillation,
-    set the error (4 panels leave 1.1e-12 where 6 leave 1e-14).
+    The phase is linear in u = sqrt(y), so the rule is Gauss-Legendre in u
+    (kernels._sqrt_gauss_rule): 32 points on each of max(6, ceil(cycles /
+    10)) equal panels of [sqrt(lo), sqrt(hi)], where cycles = 2 sqrt(ns[-1])
+    (sqrt(hi) - sqrt(lo)) / root_scale, so every panel holds the same <= 10
+    cycles; the weight is 2 u du.  Below 6 panels the bump's edges, not the
+    oscillation, set the error (4 panels leave 1.1e-12 where 6 leave 1e-14).
 
     Contract, tested against scipy's J on a Gauss rule uniform in y with at
     least one panel per cycle, for the five built-in forms at q in {1, 3},
@@ -390,13 +385,8 @@ def _dual_integrals(
     """
     lo, hi = hs[0].lo, hs[0].hi
     cycles = 2.0 * math.sqrt(float(ns[-1])) * (math.sqrt(hi) - math.sqrt(lo)) / root_scale
-    panels = max(6, math.ceil(cycles / 10.0))
-    nodes, weights = _leggauss(32)
-    edges = np.linspace(math.sqrt(lo), math.sqrt(hi), panels + 1)
-    mids = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1] - edges[0])
-    us = (mids[:, None] + half * nodes[None, :]).ravel()
-    wts = 2.0 * half * us * np.tile(weights, panels)
+    us, half, weights = _sqrt_gauss_rule(lo, hi, cycles, 32)
+    wts = 2.0 * half * us * weights
     args = np.outer((4.0 * math.pi / root_scale) * np.sqrt(ns), us)
     jvals = bessel_j_array(order, args.ravel()).reshape(args.shape)
     ys = us * us

@@ -539,7 +539,7 @@ def _integral(params, **kwargs):
 
 # sha256 of the repr of (value, error_estimate, panels), one line per
 # parameter set
-_QUADRATURE_SHA256 = "839171f8040258272e5864641fa2219a144d45187621d5cc9cb97dd4702d6a91"
+_QUADRATURE_SHA256 = "9e0d75b8b4e510e995d624089b0366238507d07c604e83e4cb7480faf2cbb84f"
 
 
 def test_double_integral_results_unchanged():
@@ -550,69 +550,63 @@ def test_double_integral_results_unchanged():
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == _QUADRATURE_SHA256
 
 
-def test_double_integral_budget_is_the_tree_size():
-    # _J_CASES[2] refines over several generations; the budget check is
-    # exact at the size of its panel tree
-    full = _integral(verify._J_CASES[2])
-    assert full.panels > 1 + 4 + 16
-    assert _integral(verify._J_CASES[2], max_panels=full.panels) == full
-    with pytest.raises(kernels.NumericalFailure, match="panel budget"):
-        _integral(verify._J_CASES[2], max_panels=full.panels - 1)
+def _refined_integral(params):
+    """The same integral on 64 Gauss points per panel and twice the panels
+    of each axis, built here from numpy's Gauss-Legendre nodes."""
+    a, b, c, q, q_cap_v, level, r_shift, xs_, ys_, order = params
+    window = default_window()
+    nodes, weights = np.polynomial.legendre.leggauss(64)
+    axes = []
+    for f, scale, freq in ((window.fx, xs_, a), (window.fy, ys_, b)):
+        lo, hi = math.sqrt(f.lo * scale), math.sqrt(f.hi * scale)
+        panels = 2 * max(6, math.ceil(2 * freq * (hi - lo) / 10))
+        edges = np.linspace(lo, hi, panels + 1)
+        half = 0.5 * (edges[1] - edges[0])
+        us = (0.5 * (edges[1:] + edges[:-1])[:, None] + half * nodes).ravel()
+        jvals = kernels.bessel_j_array(order, 4 * math.pi * freq * us)
+        axes.append((us * us, half * np.tile(weights, panels) * f.value_array(us * us / scale) * jvals))
+    (xs, col), (ys, row) = axes
+    g = kernels.delta_weight_array(
+        q * c / q_cap_v, (xs[:, None] - ys + r_shift) / (level * q_cap_v**2), default_delta_bump()
+    )
+    return 4 * float(col @ g @ row)
 
 
-def test_double_integral_budget_overflow_reports_frontier(monkeypatch):
-    evaluated = []
-    rules = kernels._panel_rules
-
-    def counting(panels, *args):
-        evaluated.append(len(panels))
-        return rules(panels, *args)
-
-    monkeypatch.setattr(kernels, "_panel_rules", counting)
-    # one initial panel, which must split: the tree outgrows 3 panels after
-    # the first generation, and the estimate is that panel's own
-    with pytest.raises(kernels.NumericalFailure, match="panel budget of 3 exhausted") as info:
-        kernels.double_bessel_integral(
-            2.0, 2.0, 1, 1, 8.0, 1, 1.0, 16.0, 16.0, default_window(), 11,
-            default_delta_bump(), abs_tol=1e-300, max_panels=3,
-        )
-    assert sum(evaluated) == 1
-    assert info.value.error_estimate > 0 and math.isfinite(info.value.value)
-    # a 48 x 48 initial grid over a budget of 10: nothing is evaluated
-    evaluated.clear()
-    with pytest.raises(kernels.NumericalFailure, match="panel budget of 10 exhausted") as info:
-        kernels.double_bessel_integral(
-            28.0, 28.0, 1, 1, 8.0, 1, 1.0, 4.0, 4.0, default_window(), 3,
-            default_delta_bump(), max_panels=10,
-        )
-    assert evaluated == []
-    assert math.isnan(info.value.value) and info.value.error_estimate == math.inf
+def test_double_integral_estimate_bounds_the_error():
+    # the floor 1e-14 is the verify-all row's: below it the delta weight's
+    # rounding, not the rule, sets the difference between two meshes
+    for params in _quadrature_parameter_sets():
+        res = _integral(params)
+        diff = abs(res.value - _refined_integral(params))
+        assert diff <= max(res.error_estimate, 1e-14), (params, diff, res.error_estimate)
 
 
 def test_double_integral_memory_is_bounded_by_the_pass():
-    """A 48 x 48 initial grid is one generation of 2304 panels; evaluated
-    _PANELS_PER_PASS panels at a time it peaks near 3 MB, where all of its
-    15 x 15 meshes at once would take tens of MB."""
+    """At a = b = 28 each axis has 10 panels, a 320 x 320 mesh for the
+    32-point rule; the weight's temporaries on it peak near 5.5 MB."""
     tracemalloc.start()
     try:
         res = kernels.double_bessel_integral(
             28.0, 28.0, 1, 1, 8.0, 1, 1.0, 4.0, 4.0, default_window(), 3,
-            default_delta_bump(), abs_tol=1.0, max_depth=0,
+            default_delta_bump(),
         )
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert res.panels == 48 * 48
+    assert res.panels == 10 * 10
     assert peak < 8 * 2**20, peak
 
 
 def test_double_integral_failure_reports_estimate():
-    with pytest.raises(kernels.NumericalFailure) as info:
-        kernels.double_bessel_integral(
-            2.0, 2.0, 1, 1, 8.0, 1, 1.0, 16.0, 16.0, default_window(), 11,
-            default_delta_bump(), abs_tol=1e-300, max_depth=2, max_panels=50,
-        )
-    assert info.value.error_estimate > 0
+    # order 11 on [sqrt 8, sqrt 40]: six panels per axis leave an error of
+    # about 2e-7 against a tolerance of 1.3e-7, and the estimate shows it
+    params = (2.0, 2.0, 1, 1, 8.0, 1, 1.0, 16.0, 16.0, 11)
+    with pytest.raises(kernels.NumericalFailure, match="exceeds tolerance") as info:
+        _integral(params)
+    failure = info.value
+    assert math.isfinite(failure.value)
+    assert failure.error_estimate > 1.28e-7
+    assert abs(failure.value - _refined_integral(params)) <= failure.error_estimate
 
 
 def test_truncation_ranges_formulas():

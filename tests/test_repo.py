@@ -116,6 +116,27 @@ def _uses(trees, kinds):
     return uses
 
 
+def _benchmark_names(uses):
+    """Add the function names in perfbench's TRACED and CACHES tables to
+    uses: the tracer reaches those functions by name."""
+    path = ROOT / "perfbench" / "tracer.py"
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and node.targets[0].id in ("TRACED", "CACHES"):
+            for const in ast.walk(node.value):
+                if isinstance(const, ast.Constant) and isinstance(const.value, str):
+                    uses.setdefault(const.value, []).append((path, const.lineno))
+
+
+def _is_registration(node, defs) -> bool:
+    """A function decorated by a decorator factory of its own module, such
+    as verify's @_check or cli's @_command: the decorator adds it to a table
+    that is read by name."""
+    return isinstance(node, ast.FunctionDef) and any(
+        isinstance(deco, ast.Call) and isinstance(deco.func, ast.Name) and deco.func.id in defs
+        for deco in node.decorator_list
+    )
+
+
 def _used_outside(uses, ident, path, node):
     return any(
         p != path or not node.lineno <= line <= node.end_lineno
@@ -132,14 +153,18 @@ def _is_dataclass(cls: ast.ClassDef) -> bool:
 
 
 def test_every_public_name_and_method_is_reached():
-    """Every name a module exports, every method or property of a class and
-    every field of a dataclass in src/ is used somewhere in src/ or
-    perfbench/ outside its own definition; a name that only tests call is
-    code no pipeline reaches, and a field nothing reads is a value no
-    pipeline uses.  Methods and fields match attributes only, never local
-    variables or keyword arguments of the same name."""
+    """Every name a module exports, every private top-level name of
+    src/deltasum, every method or property of a class and every field of a
+    dataclass in src/ is used somewhere in src/ or perfbench/ outside its
+    own definition; a name that only tests call is code no pipeline reaches,
+    and a field nothing reads is a value no pipeline uses.  A name in
+    perfbench's TRACED or CACHES tables counts as used, and a registered
+    function (@_check, @_command) is reached through its table.  Methods
+    and fields match attributes only, never local variables or keyword
+    arguments of the same name."""
     trees = _trees()
     names = _uses(trees, (ast.Name, ast.Attribute))
+    _benchmark_names(names)
     attributes = _uses(trees, ast.Attribute)
     unreached = []
     for path, tree in trees.items():
@@ -159,6 +184,11 @@ def test_every_public_name_and_method_is_reached():
                 unreached.append(f"{module}: {ident}")
         if path.parent.name != "deltasum":
             continue
+        for ident, node in defs.items():
+            private = ident.startswith("_") and not ident.startswith("__")
+            if private and not _is_registration(node, defs):
+                if not _used_outside(names, ident, path, node):
+                    unreached.append(f"{module}: {ident}")
         for cls in (n for n in tree.body if isinstance(n, ast.ClassDef)):
             has_fields = _is_dataclass(cls)
             for node in cls.body:
@@ -177,10 +207,10 @@ def test_every_public_name_and_method_is_reached():
 
 def test_one_q_loop_for_the_delta_weight():
     """delta_weight_array is called in src/ only by kernels._weight_columns,
-    the q-loop every decomposition and the shifted sum walk, and by the
-    quadrature's kernels._panel_rules; verify.py's checks call it as
-    oracles."""
-    allowed = {("kernels.py", "_weight_columns"), ("kernels.py", "_panel_rules")}
+    the q-loop every decomposition and the shifted sum walk, and by
+    kernels.double_bessel_integral on its quadrature mesh; verify.py's
+    checks call it as oracles."""
+    allowed = {("kernels.py", "_weight_columns"), ("kernels.py", "double_bessel_integral")}
     callers = set()
     for path in sorted((ROOT / "src" / "deltasum").glob("*.py")):
         if path.name == "verify.py":
