@@ -529,11 +529,11 @@ def _quadrature_parameter_sets():
     return sets
 
 
-def _integral(params, **kwargs):
+def _integral(params):
     a, b, c, q, q_cap_v, level, r_shift, xs_, ys_, order = params
     return kernels.double_bessel_integral(
         a, b, c, q, q_cap_v, level, r_shift, xs_, ys_, default_window(), order,
-        default_delta_bump(), **kwargs,
+        default_delta_bump(),
     )
 
 
@@ -563,8 +563,9 @@ def _refined_integral(params):
         edges = np.linspace(lo, hi, panels + 1)
         half = 0.5 * (edges[1] - edges[0])
         us = (0.5 * (edges[1:] + edges[:-1])[:, None] + half * nodes).ravel()
+        xs = us * us
         jvals = kernels.bessel_j_array(order, 4 * math.pi * freq * us)
-        axes.append((us * us, half * np.tile(weights, panels) * f.value_array(us * us / scale) * jvals))
+        axes.append((xs, half * np.tile(weights, panels) * f.value_array(xs / scale) * jvals))
     (xs, col), (ys, row) = axes
     g = kernels.delta_weight_array(
         q * c / q_cap_v, (xs[:, None] - ys + r_shift) / (level * q_cap_v**2), default_delta_bump()
