@@ -37,7 +37,7 @@ import numpy as np
 from . import modforms, pipeline, verify
 from .characters import enumerate_characters
 from .expsums import kloosterman
-from .kernels import DeltaScheme, SmoothBump, calibrate, delta_decompose, delta_decompose_lowered
+from .kernels import DeltaScheme, SmoothBump, delta_decompose, delta_decompose_lowered
 
 
 class ConfigError(ValueError):
@@ -240,7 +240,7 @@ def _cmd_delta(p: dict) -> list[tuple]:
         raise ConfigError("Q must exceed 1")
     if p["nmax"] < 0:
         raise ConfigError("nmax must be nonnegative")
-    scheme = calibrate(DeltaScheme(p["Q"], p["P"], pipeline.default_delta_bump(p["sharpness"])))
+    scheme = DeltaScheme(p["Q"], p["P"], pipeline.default_delta_bump(p["sharpness"]))
     evaluate = delta_decompose if p["P"] == 1 else delta_decompose_lowered
     ns = np.arange(-p["nmax"], p["nmax"] + 1)
     return list(zip(ns.tolist(), evaluate(ns, scheme).tolist()))

@@ -8,9 +8,10 @@ Numerical conventions, fixed for reproducibility:
   rounded); the a- and b-sums are the exact integer closed form
   P [P | n] c_q(n/P); the short j-sum of the delta weight is added in
   order, j = 1 first;
-- the decomposition value is the raw sum divided by the raw sum at n = 0;
-  at n = 0 the plain raw sum has exactly the terms of the calibration sum,
-  so the plain anchor is exact;
+- a scheme's raw_zero is the decomposition's own raw sum at n = 0, taken
+  with the level-1 gamma-sum c_q(0) = phi(q) at every level, and is fixed
+  when the scheme is built; every decomposition value is its raw sum
+  divided by raw_zero, so the plain anchor is exactly 1;
 - both Bessel-kernel integrals, the Voronoi dual integrals of the pipeline
   and the double integral here, take one fixed rule, _sqrt_gauss_rule:
   Gauss-Legendre in u = sqrt(y), where the Bessel phase is linear, on
@@ -21,7 +22,7 @@ Numerical conventions, fixed for reproducibility:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 
@@ -40,7 +41,6 @@ __all__ = [
     "QuadratureResult",
     "SmoothBump",
     "Stratum",
-    "UncalibratedScheme",
     "bessel_j_array",
     "calibrate",
     "delta_decompose",
@@ -53,10 +53,6 @@ __all__ = [
 
 class CalibrationError(ArithmeticError):
     """The raw decomposition at n = 0 is unusable (broken bump)."""
-
-
-class UncalibratedScheme(RuntimeError):
-    """A decomposition was requested before calibrate()."""
 
 
 class NumericalFailure(ArithmeticError):
@@ -497,25 +493,22 @@ class DeltaScheme:
 
     q_scale is the Q of the decomposition; level P = 1 selects the plain
     scheme and a prime P the conductor-lowered scheme, which detects
-    (n/P = 0) together with the congruence n = 0 mod P. raw_zero is the
-    uncalibrated value at n = 0; the calibration constant is its inverse,
-    and every decomposition divides by raw_zero so the anchor is exact.
+    (n/P = 0) together with the congruence n = 0 mod P. raw_zero, the raw
+    value at n = 0, is set by calibrate as the scheme is built; c_Q is its
+    inverse, and every decomposition divides by raw_zero.
     """
 
     q_scale: float
     level: int
     bump: SmoothBump
-    raw_zero: float | None = None
+    raw_zero: float = field(init=False)
 
     def __post_init__(self):
         if self.q_scale <= 1:
             raise ValueError("Q must exceed 1")
         if self.level != 1 and not is_prime(self.level):
             raise ValueError("level must be 1 or a prime")
-
-    @property
-    def is_calibrated(self) -> bool:
-        return self.raw_zero is not None
+        object.__setattr__(self, "raw_zero", calibrate(self))
 
     @property
     def c_q(self) -> float:
@@ -548,16 +541,7 @@ def _weight_columns(scheme: DeltaScheme, ns):
             yield q, live, gvals[live]
 
 
-def _raw_plain_zero(scheme: DeltaScheme) -> float:
-    """(1/Q^2) sum_q phi(q) g(q/Q, 0).  The n = 0 value of delta_decompose
-    sums the same terms c_q(0) g(q/Q, 0) = phi(q) g(q/Q, 0), so the anchor
-    is exact."""
-    q_scale = scheme.q_scale
-    phi_acc = _phi_cache(int(math.ceil(q_scale)) + 1)
-    terms = [phi_acc[q] * float(g[0]) for q, _, g in _weight_columns(scheme, [0])]
-    return math.fsum(terms) / (q_scale * q_scale)
-
-
+# nothing here reads _phi_cache: perfbench reports its cache hits by this name
 @lru_cache(maxsize=16)
 def _phi_cache(bound: int) -> tuple[int, ...]:
     from .arith import MultiplicativeTable
@@ -565,44 +549,42 @@ def _phi_cache(bound: int) -> tuple[int, ...]:
     return MultiplicativeTable(max(bound, 2)).phi
 
 
-def calibrate(scheme: DeltaScheme) -> DeltaScheme:
-    """Fix the calibration constant from the raw value at n = 0."""
-    raw = _raw_plain_zero(scheme)
-    if raw < 1e-3:
-        raise CalibrationError(f"raw decomposition at n = 0 is {raw}; bump unusable")
-    calibrated = replace(scheme, raw_zero=raw)
-    window = 1.0 / scheme.q_scale
-    if not (1.0 - window <= calibrated.c_q <= 1.0 + window):
-        raise CalibrationError(
-            f"calibration constant {calibrated.c_q} outside sanity window "
-            f"for Q = {scheme.q_scale}"
-        )
-    return calibrated
-
-
-def _row_sums(terms: np.ndarray, scale: float, scheme: DeltaScheme, shape: tuple):
-    """The exactly rounded sum of each row of terms (one row per n, one
-    column per q), divided by scale and then by raw_zero: a float for the
-    shape () of a scalar n, else an array of that shape.  A zero term leaves
-    an exactly rounded sum as it is."""
-    out = np.array([math.fsum(row.tolist()) / scale / scheme.raw_zero for row in terms])
-    return float(out[0]) if shape == () else out.reshape(shape)
-
-
-def _decompose(n, scheme: DeltaScheme):
-    """(1/(P Q^2 raw_zero)) sum_q P [P | n] c_q(n/P) g(q/Q, n/(P Q^2)) for
-    each n, the body of both decompositions.  Only |n| enters."""
-    if not scheme.is_calibrated:
-        raise UncalibratedScheme("call calibrate() first")
-    ns = np.asarray(n, dtype=np.int64)
-    flat = np.abs(ns.ravel())
-    level = scheme.level
+def _raw_sums(scheme: DeltaScheme, flat: np.ndarray, level: int) -> np.ndarray:
+    """(1/(P Q^2)) sum_q P [P | n] c_q(n/P) g(q/Q, n/(P_s Q^2)) for each
+    n >= 0 of flat, one math.fsum per n, with P_s the scheme's level and P
+    the gamma-sum's: P_s for both decompositions, 1 for the calibration."""
     terms = np.zeros((flat.size, scheme.q_max(int(flat.max(initial=0)))))
     for q, live, g in _weight_columns(scheme, flat):
         # the gamma-sum has period qP in n: one table of it, one residue per n
         table = coprime_residue_sum(q, level, np.arange(q * level))
         terms[live, q - 1] = table[flat[live] % (q * level)] * g
-    return _row_sums(terms, level * scheme.q_scale * scheme.q_scale, scheme, ns.shape)
+    scale = level * scheme.q_scale * scheme.q_scale
+    return np.array([math.fsum(row.tolist()) / scale for row in terms])
+
+
+def calibrate(scheme: DeltaScheme) -> float:
+    """raw_zero, the raw decomposition at n = 0, for DeltaScheme to store.
+    At P = 1 it is the plain decomposition's own raw sum at n = 0, so the
+    anchor is exact; CalibrationError if the bump makes it unusable."""
+    raw = float(_raw_sums(scheme, np.zeros(1, dtype=np.int64), 1)[0])
+    if raw < 1e-3:
+        raise CalibrationError(f"raw decomposition at n = 0 is {raw}; bump unusable")
+    window = 1.0 / scheme.q_scale
+    if not (1.0 - window <= 1.0 / raw <= 1.0 + window):
+        raise CalibrationError(
+            f"calibration constant {1.0 / raw} outside sanity window "
+            f"for Q = {scheme.q_scale}"
+        )
+    return raw
+
+
+def _decompose(n, scheme: DeltaScheme):
+    """(1/(P Q^2 raw_zero)) sum_q P [P | n] c_q(n/P) g(q/Q, n/(P Q^2)) for
+    each n, the body of both decompositions: a float for a scalar n, else
+    an array of n's shape.  Only |n| enters."""
+    ns = np.asarray(n, dtype=np.int64)
+    out = _raw_sums(scheme, np.abs(ns.ravel()), scheme.level) / scheme.raw_zero
+    return float(out[0]) if ns.shape == () else out.reshape(ns.shape)
 
 
 def delta_decompose(n, scheme: DeltaScheme):
@@ -611,7 +593,7 @@ def delta_decompose(n, scheme: DeltaScheme):
     (c_Q / Q^2) sum_q c_q(n) g(q/Q, n/Q^2), the a-sum collapsed to the
     Ramanujan sum.  n may be an int or an integer numpy array; the result is
     a float or a float64 array of the same shape, each value the same as the
-    one-element call.  Exactly 1 at n = 0 after calibration; O(1e-12)
+    one-element call.  Exactly 1 at n = 0; O(1e-12)
     roundoff otherwise.  The value at -n equals the value at n by
     construction: only |n| enters.
     """

@@ -455,9 +455,7 @@ def check_delta_plain():
     cqs = []
     for q_scale in (6.0, 10.0, 25.0):
         for s in _BUMP_SHARPNESS:
-            scheme = kernels.calibrate(
-                kernels.DeltaScheme(q_scale, 1, pipeline.default_delta_bump(s))
-            )
+            scheme = kernels.DeltaScheme(q_scale, 1, pipeline.default_delta_bump(s))
             cqs.append(scheme.c_q)
             if not 0.9 <= scheme.c_q <= 1.1:
                 return FAIL, f"c_Q={scheme.c_q} outside [0.9,1.1] at Q={q_scale}"
@@ -482,9 +480,7 @@ def check_delta_lowered():
     for level in (2, 3, 5, 11):
         for q_scale in (6.0, 10.0, 25.0):
             for s in _BUMP_SHARPNESS:
-                scheme = kernels.calibrate(
-                    kernels.DeltaScheme(q_scale, level, pipeline.default_delta_bump(s))
-                )
+                scheme = kernels.DeltaScheme(q_scale, level, pipeline.default_delta_bump(s))
                 cqs.append(scheme.c_q)
                 if not 0.9 <= scheme.c_q <= 1.1:
                     return FAIL, f"c_Q={scheme.c_q} outside [0.9,1.1] at Q={q_scale}, P={level}"

@@ -340,31 +340,25 @@ def test_scheme_validation():
 
 def test_calibration_window():
     for q_scale in (6.0, 10.0, 25.0):
-        scheme = kernels.calibrate(kernels.DeltaScheme(q_scale, 1, default_delta_bump()))
+        scheme = kernels.DeltaScheme(q_scale, 1, default_delta_bump())
         assert 0.9 <= scheme.c_q <= 1.1
         assert abs(scheme.c_q - 1.0) <= 1.0 / q_scale
 
 
 def test_calibration_improves_with_q():
-    c6 = kernels.calibrate(kernels.DeltaScheme(6.0, 1, default_delta_bump())).c_q
-    c10 = kernels.calibrate(kernels.DeltaScheme(10.0, 1, default_delta_bump())).c_q
-    c25 = kernels.calibrate(kernels.DeltaScheme(25.0, 1, default_delta_bump())).c_q
-    c50 = kernels.calibrate(kernels.DeltaScheme(50.0, 1, default_delta_bump())).c_q
+    c6 = kernels.DeltaScheme(6.0, 1, default_delta_bump()).c_q
+    c10 = kernels.DeltaScheme(10.0, 1, default_delta_bump()).c_q
+    c25 = kernels.DeltaScheme(25.0, 1, default_delta_bump()).c_q
+    c50 = kernels.DeltaScheme(50.0, 1, default_delta_bump()).c_q
     assert abs(c25 - 1.0) <= abs(c6 - 1.0)
     assert abs(c50 - 1.0) <= abs(c10 - 1.0)
 
 
-def test_uncalibrated_scheme_rejected():
-    scheme = kernels.DeltaScheme(10.0, 1, default_delta_bump())
-    with pytest.raises(kernels.UncalibratedScheme):
-        kernels.delta_decompose(3, scheme)
-
-
 def test_delta_plain_examples():
-    scheme = kernels.calibrate(kernels.DeltaScheme(10.0, 1, default_delta_bump()))
+    scheme = kernels.DeltaScheme(10.0, 1, default_delta_bump())
     assert kernels.delta_decompose(0, scheme) == 1.0
     assert abs(kernels.delta_decompose(7, scheme)) < 1e-8
-    scheme6 = kernels.calibrate(kernels.DeltaScheme(6.0, 1, default_delta_bump()))
+    scheme6 = kernels.DeltaScheme(6.0, 1, default_delta_bump())
     assert abs(kernels.delta_decompose(-3, scheme6)) < 1e-8
     assert kernels.delta_decompose(-3, scheme6) == kernels.delta_decompose(3, scheme6)
 
@@ -372,33 +366,23 @@ def test_delta_plain_examples():
 def test_delta_plain_multi_bump_agreement():
     # five distinct bumps must all report zero away from the origin
     for sharpness in (0.2, 0.25, 0.5, 1.0, 1.5):
-        scheme = kernels.calibrate(
-            kernels.DeltaScheme(10.0, 1, default_delta_bump(sharpness))
-        )
+        scheme = kernels.DeltaScheme(10.0, 1, default_delta_bump(sharpness))
         assert abs(kernels.delta_decompose(7, scheme)) < 1e-8
 
 
 def test_delta_plain_requires_level_one():
-    scheme = kernels.calibrate(kernels.DeltaScheme(10.0, 3, default_delta_bump()))
+    scheme = kernels.DeltaScheme(10.0, 3, default_delta_bump())
     with pytest.raises(ValueError):
         kernels.delta_decompose(1, scheme)
 
 
 def test_delta_lowered_examples():
-    scheme = kernels.calibrate(kernels.DeltaScheme(10.0, 5, default_delta_bump()))
+    scheme = kernels.DeltaScheme(10.0, 5, default_delta_bump())
     assert kernels.delta_decompose_lowered(0, scheme) == pytest.approx(1.0, abs=1e-12)
     # multiples of the level pass the congruence; the inner delta kills them
     assert abs(kernels.delta_decompose_lowered(15, scheme)) < 1e-8
     # off-multiples die through the congruence average
     assert abs(kernels.delta_decompose_lowered(7, scheme)) < 1e-8
-
-
-def test_delta_lowered_sweep():
-    for level in (2, 3, 5, 11):
-        scheme = kernels.calibrate(kernels.DeltaScheme(6.0, level, default_delta_bump()))
-        for n in range(-30, 31):
-            v = kernels.delta_decompose_lowered(n, scheme)
-            assert abs(v - (1.0 if n == 0 else 0.0)) < 1e-8
 
 
 def test_decompositions_over_arrays_match_one_element_calls():
@@ -411,7 +395,6 @@ def test_decompositions_over_arrays_match_one_element_calls():
         for level in (2, 5, 11)
     ]
     for evaluate, scheme in schemes:
-        scheme = kernels.calibrate(scheme)
         values = evaluate(ns, scheme)
         assert values.shape == ns.shape and values.dtype == np.float64
         singles = [evaluate(n, scheme) for n in ns.tolist()]
@@ -445,7 +428,7 @@ def test_lowered_decomposition_matches_literal_triple_sum():
     ns = np.arange(-120, 121)
     for level in (2, 3, 5, 11):
         for q_scale in (6.0, 10.0, 25.0):
-            scheme = kernels.calibrate(kernels.DeltaScheme(q_scale, level, default_delta_bump()))
+            scheme = kernels.DeltaScheme(q_scale, level, default_delta_bump())
             got = kernels.delta_decompose_lowered(ns, scheme)
             want = _literal_lowered(ns, scheme)
             assert float(np.abs(got - want).max()) <= 1e-14, (level, q_scale)
@@ -458,13 +441,13 @@ def _pinned_delta_values():
     ns = np.arange(-300, 301)
     lines = []
     for q_scale in (6.0, 10.5, 25.0):
-        scheme = kernels.calibrate(kernels.DeltaScheme(q_scale, 1, default_delta_bump()))
+        scheme = kernels.DeltaScheme(q_scale, 1, default_delta_bump())
         lines.append(repr(kernels.delta_decompose(ns, scheme).tolist()))
     for sharpness in (0.25, 0.5, 1.0):
         for q_scale in (4.0, 6.0, 10.5, 25.0, 50.0):
             for level in (1, 2, 3, 5, 11):
                 scheme = kernels.DeltaScheme(q_scale, level, default_delta_bump(sharpness))
-                lines.append(repr(kernels.calibrate(scheme).raw_zero))
+                lines.append(repr(scheme.raw_zero))
     lines += [repr(shifted_sum_delta(spec)) for spec in verify.acceptance_specs()]
     return lines
 
@@ -480,10 +463,11 @@ def test_delta_values_unchanged():
 
 
 def test_broken_bump_rejected():
-    # a bump violating the unit-integral convention breaks calibration
+    # a bump violating the unit-integral convention breaks calibration, so
+    # the scheme cannot be built
     bad = kernels.SmoothBump(0.5, 1.0, sharpness=0.5, normalization="peak", target=5.0)
     with pytest.raises(kernels.CalibrationError):
-        kernels.calibrate(kernels.DeltaScheme(10.0, 1, bad))
+        kernels.DeltaScheme(10.0, 1, bad)
 
 
 # ---------------------------------------------------------------------------

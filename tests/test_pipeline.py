@@ -365,12 +365,6 @@ def test_second_moment_reference_loop(level11_form, moment_window):
     assert value >= 0.0
 
 
-def test_gauss_square_opening(delta_form, moment_window):
-    for modulus in (3, 5, 15, 21):
-        lhs, rhs = pipeline.gauss_square_opening(delta_form, modulus, 30.0, moment_window)
-        assert rhs == pytest.approx(lhs, rel=1e-8)
-
-
 def test_gauss_square_opening_trivial(delta_form, moment_window):
     lhs, rhs = pipeline.gauss_square_opening(delta_form, 1, 30.0, moment_window)
     assert lhs == pytest.approx(rhs, rel=1e-12)

@@ -225,6 +225,23 @@ def test_one_q_loop_for_the_delta_weight():
     assert callers <= allowed, sorted(callers - allowed, key=str)
 
 
+def test_only_the_scheme_calibrates_itself():
+    """calibrate is called in src/ only by DeltaScheme.__post_init__, so no
+    scheme exists uncalibrated and every calibration passes through the
+    benchmark's kernels.calibrate span."""
+    callers = set()
+    for path in sorted((ROOT / "src" / "deltasum").glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            # a class is searched member by member, a method named Class.method
+            for node in top.body if isinstance(top, ast.ClassDef) else [top]:
+                funcs = (n.func for n in ast.walk(node) if isinstance(n, ast.Call))
+                idents = {getattr(f, "id", None) or getattr(f, "attr", None) for f in funcs}
+                if "calibrate" in idents:
+                    name = getattr(node, "name", None)
+                    callers.add((path.name, name if node is top else f"{top.name}.{name}"))
+    assert callers == {("kernels.py", "DeltaScheme.__post_init__")}, sorted(callers, key=str)
+
+
 def test_crt_flag_check_takes_the_crt_path():
     """verify.check_crt_flag calls expsums.kloosterman(..., use_crt=True):
     it is the only caller of that path, and the benchmark's verify-all
