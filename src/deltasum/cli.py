@@ -226,6 +226,11 @@ def _cmd_kloosterman(p: dict) -> list[tuple]:
     return rows
 
 
+# the decompositions fill one float per (n, q) pair: (2 nmax + 1) q_max(nmax)
+# cells, 128 MiB at this limit
+_DELTA_CELLS = 1 << 24
+
+
 @_command(
     "delta",
     "delta-symbol decomposition values; exactly 1 at n = 0",
@@ -241,6 +246,11 @@ def _cmd_delta(p: dict) -> list[tuple]:
     if p["nmax"] < 0:
         raise ConfigError("nmax must be nonnegative")
     scheme = DeltaScheme(p["Q"], p["P"], pipeline.default_delta_bump(p["sharpness"]))
+    cells = (2 * p["nmax"] + 1) * scheme.q_max(p["nmax"])
+    if cells > _DELTA_CELLS:
+        raise ConfigError(
+            f"nmax {p['nmax']} at Q {p['Q']} needs {cells} table cells, over {_DELTA_CELLS}"
+        )
     evaluate = delta_decompose if p["P"] == 1 else delta_decompose_lowered
     ns = np.arange(-p["nmax"], p["nmax"] + 1)
     return list(zip(ns.tolist(), evaluate(ns, scheme).tolist()))

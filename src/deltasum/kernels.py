@@ -755,7 +755,7 @@ def double_bessel_integral(
 
     value, panels = tensor_rule(32)
     estimate = abs(value - tensor_rule(24)[0])
-    if estimate > abs_tol:
+    if not estimate <= abs_tol:
         raise NumericalFailure(
             f"quadrature error estimate {estimate} exceeds tolerance {abs_tol}",
             value,

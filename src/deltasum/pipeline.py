@@ -279,9 +279,9 @@ def shifted_sum_delta(spec: ShiftedSumSpec) -> SumReport:
     total, s1, s2, s3 = _decomposition(spec, scheme, ts, amps)
     identity_residual = abs(direct - total)
     partition_residual = abs((s1 + s2 + s3) - total)
-    if identity_residual > max(IDENTITY_REL_TOL * abs(direct), IDENTITY_ABS_TOL):
+    if not identity_residual <= max(IDENTITY_REL_TOL * abs(direct), IDENTITY_ABS_TOL):
         raise PipelineMismatch(direct, total)
-    if partition_residual > max(PARTITION_REL_TOL * abs(total), 1e-12):
+    if not partition_residual <= max(PARTITION_REL_TOL * abs(total), 1e-12):
         raise ArithmeticError(
             f"stratum partition {s1 + s2 + s3} does not reconstruct {total}"
         )
@@ -312,34 +312,27 @@ def kloosterman_collapse(
     gamma-multiple stratum:   S(r M, (m - n) P^-1; q)
     modulus-multiple stratum: S(r M, m - n; P^2 q)
     """
-    rm = r * m_shift
     if stratum in (Stratum.COPRIME, Stratum.GAMMA) and gcd(q, level) != 1:
         raise ValueError("this stratum requires gcd(q, level) = 1")
+    # the modulus, the unit multiplying the inverse, and the closed form
     if stratum == Stratum.COPRIME:
-        modulus = q * level
-        pairs = [(g, inverse_mod(g, modulus)) for g in _coprime_residues(modulus)]
-        direct = _phase_sum(pairs, rm, m - n, modulus)
+        modulus, unit = q * level, 1
         closed = principal_cusp_sum(r, m_shift, m, n, level, q)
     elif stratum == Stratum.GAMMA:
-        modulus = q
-        p_inv = inverse_mod(level, q)
-        pairs = [(g, inverse_mod(g, q) * p_inv) for g in _coprime_residues(q)]
-        direct = _phase_sum(pairs, rm, m - n, modulus)
+        modulus, unit = q, inverse_mod(level, q)
         closed = cusp_pair_sum(r, m_shift, m, n, level, q)
     elif stratum == Stratum.MODULUS:
-        modulus = q * level * level
-        pairs = [(g, inverse_mod(g, modulus)) for g in _coprime_residues(modulus)]
-        direct = _phase_sum(pairs, rm, m - n, modulus)
+        modulus, unit = q * level * level, 1
         closed = principal_cusp_sum(r, m_shift, m, n, level, q * level)
     else:
         raise ValueError(f"unknown stratum {stratum}")
-    return direct, closed
-
-
-def _phase_sum(pairs, front: int, back: int, modulus: int) -> complex:
     roots = _root_table(modulus)
-    phases = [roots[(front * g + back * gbar) % modulus] for g, gbar in pairs]
-    return complex(math.fsum(z.real for z in phases), math.fsum(z.imag for z in phases))
+    phases = [
+        roots[(r * m_shift * g + (m - n) * (inverse_mod(g, modulus) * unit)) % modulus]
+        for g in _coprime_residues(modulus)
+    ]
+    direct = complex(math.fsum(z.real for z in phases), math.fsum(z.imag for z in phases))
+    return direct, closed
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,17 @@ def test_delta_table():
     assert all(abs(v) <= 1e-8 for n, v in values.items() if n != 0)
 
 
+def test_delta_table_size_is_bounded(monkeypatch, capsys):
+    """A table past the cell budget exits 2 with one line, before any
+    decomposition runs."""
+    monkeypatch.setattr(cli, "delta_decompose", lambda *args: pytest.fail("table built"))
+    assert cli.main(["delta", "--Q", "10", "--nmax", "100000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: nmax 100000 at Q 10.0 needs ")
+    assert captured.err.count("\n") == 1
+
+
 def test_characters_table():
     status, out = _run(["characters", "--M", "5"])
     assert status == 0

@@ -14,26 +14,10 @@ def test_hand_values():
     assert abs(expsums.kloosterman(1, 1, 3).value + 1.0) < 1e-12
 
 
-def test_ramanujan_degeneration():
-    for c in range(1, 501):
-        v = expsums.kloosterman(1, 0, c)
-        assert abs(v.value - arith.mobius(c)) < 1e-9
-        assert v.imag_residual <= 1e-9 * c
-
-
 def test_weil_bound_fields():
     v = expsums.kloosterman(1, 1, 3)
     assert v.weil_bound == pytest.approx(2 * math.sqrt(3))
     assert abs(v.value) <= v.weil_bound
-
-
-def test_weil_bound_random_sweep():
-    rng = random.Random(1)
-    for c in range(1, 501):
-        for _ in range(5):
-            a, b = rng.randrange(-10**5, 10**5), rng.randrange(-10**5, 10**5)
-            v = expsums.kloosterman(a, b, c)
-            assert abs(v.value) <= v.weil_bound + 1e-9
 
 
 def test_symmetry():
@@ -64,32 +48,9 @@ def test_twisted_multiplicativity_examples():
     assert right == pytest.approx(arith.phi(2) * arith.phi(3), abs=1e-12)
 
 
-def test_twisted_multiplicativity_random():
-    rng = random.Random(77)
-    done = 0
-    while done < 200:
-        c1, c2 = rng.randrange(1, 110), rng.randrange(1, 110)
-        if gcd(c1, c2) != 1 or c1 * c2 > 10**4:
-            continue
-        done += 1
-        m, n = rng.randrange(-60, 60), rng.randrange(-60, 60)
-        left, right = expsums.twisted_multiplicativity(m, n, c1, c2)
-        assert left == pytest.approx(right, abs=1e-8)
-
-
 def test_twisted_multiplicativity_rejects_common_factor():
     with pytest.raises(ValueError):
         expsums.twisted_multiplicativity(1, 1, 4, 6)
-
-
-def test_crt_flag_agreement():
-    rng = random.Random(5)
-    for _ in range(1000):
-        c = rng.randrange(2, 2500)
-        a, b = rng.randrange(-10**3, 10**3), rng.randrange(-10**3, 10**3)
-        assert expsums.kloosterman(a, b, c, use_crt=True).value == pytest.approx(
-            expsums.kloosterman(a, b, c).value, abs=1e-8
-        )
 
 
 def test_cusp_pair_sum():

@@ -594,6 +594,13 @@ def test_double_integral_failure_reports_estimate():
     assert abs(failure.value - _refined_integral(params)) <= failure.error_estimate
 
 
+def test_double_integral_raises_on_nan(monkeypatch):
+    """NaN Bessel values make a NaN estimate, which fails the tolerance."""
+    monkeypatch.setattr(kernels, "bessel_j_array", lambda order, x: np.full(np.shape(x), np.nan))
+    with pytest.raises(kernels.NumericalFailure, match="exceeds tolerance"):
+        _integral(verify._J_CASES[0])
+
+
 def test_truncation_ranges_formulas():
     q, xs_, ys_, zx, zy, cap, level = 2, 9.0, 4.0, 1.5, 2.0, 5.0, 3
     t1, t2 = kernels.truncation_ranges(q, xs_, ys_, zx, zy, cap, level, kernels.Stratum.COPRIME)

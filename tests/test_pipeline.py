@@ -119,6 +119,23 @@ def test_shifted_sum_delta_identity(delta_form, level11_form):
     assert 0.0 not in (rep2.stratum_coprime, rep2.stratum_gamma, rep2.stratum_modulus)
 
 
+def test_shifted_sum_delta_raises_on_nan(delta_form, monkeypatch):
+    """A NaN decomposition fails the identity gate, and NaN strata fail the
+    partition gate, instead of passing as a small residual."""
+    spec = _spec(delta_form, 3, 1, 30.0)
+    decomposition = pipeline._decomposition
+    monkeypatch.setattr(pipeline, "_decomposition", lambda *args: (math.nan,) * 4)
+    with pytest.raises(pipeline.PipelineMismatch):
+        pipeline.shifted_sum_delta(spec)
+    monkeypatch.setattr(
+        pipeline,
+        "_decomposition",
+        lambda *args: (decomposition(*args)[0], math.nan, 0.0, 0.0),
+    )
+    with pytest.raises(ArithmeticError, match="stratum partition"):
+        pipeline.shifted_sum_delta(spec)
+
+
 @pytest.mark.parametrize("level", [1, 2, 3, 5, 11])
 def test_gamma_sum_closed_forms(level):
     """The decomposition's gamma-sums against literal cosine sums over

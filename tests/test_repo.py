@@ -264,3 +264,22 @@ def test_crt_flag_check_takes_the_crt_path():
         for call in calls
         for kw in call.keywords
     )
+
+
+def test_verify_keeps_no_running_maximum():
+    """No assignment in verify.py reads name = max(name, ...).  Python's max
+    keeps its first argument unless a later one compares greater, and no
+    comparison with NaN is true, so such a running maximum drops a NaN;
+    the rows take np.max of their values instead."""
+    tree = ast.parse((ROOT / "src" / "deltasum" / "verify.py").read_text())
+    running = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign)
+        and isinstance(node.value, ast.Call)
+        and isinstance(node.value.func, ast.Name)
+        and node.value.func.id == "max"
+        and {t.id for t in node.targets if isinstance(t, ast.Name)}
+        & {a.id for a in node.value.args if isinstance(a, ast.Name)}
+    ]
+    assert not running, running
