@@ -37,7 +37,13 @@ import numpy as np
 from . import modforms, pipeline, verify
 from .characters import enumerate_characters
 from .expsums import kloosterman
-from .kernels import DeltaScheme, SmoothBump, delta_decompose, delta_decompose_lowered
+from .kernels import (
+    DeltaScheme,
+    SmoothBump,
+    _q_max,
+    delta_decompose,
+    delta_decompose_lowered,
+)
 
 
 class ConfigError(ValueError):
@@ -229,6 +235,9 @@ def _cmd_kloosterman(p: dict) -> list[tuple]:
 # the decompositions fill one float per (n, q) pair: (2 nmax + 1) q_max(nmax)
 # cells, 128 MiB at this limit
 _DELTA_CELLS = 1 << 24
+# the q-loop costs about 0.1 ms a row: at this limit the slowest accepted
+# table (Q = 32768, nmax = 255, both limits reached) took 8.3 s on 2 vCPUs
+_DELTA_ROWS = 1 << 15
 
 
 @_command(
@@ -241,10 +250,16 @@ _DELTA_CELLS = 1 << 24
     Param("sharpness", float, 0.5, "bump sharpness"),
 )
 def _cmd_delta(p: dict) -> list[tuple]:
-    if p["Q"] <= 1:
-        raise ConfigError("Q must exceed 1")
+    if not 1 < p["Q"] < math.inf:
+        raise ConfigError("Q must be finite and exceed 1")
     if p["nmax"] < 0:
         raise ConfigError("nmax must be nonnegative")
+    # q_max at P = 1, the most any level needs, before the scheme calibrates
+    rows = _q_max(p["Q"], 1, p["nmax"])
+    if rows > _DELTA_ROWS:
+        raise ConfigError(
+            f"nmax {p['nmax']} at Q {p['Q']} needs {rows} moduli q, over {_DELTA_ROWS}"
+        )
     scheme = DeltaScheme(p["Q"], p["P"], pipeline.default_delta_bump(p["sharpness"]))
     cells = (2 * p["nmax"] + 1) * scheme.q_max(p["nmax"])
     if cells > _DELTA_CELLS:

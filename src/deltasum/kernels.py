@@ -6,12 +6,14 @@ Numerical conventions, fixed for reproducibility:
 
 - the q-sum of the decompositions goes through math.fsum (exactly
   rounded); the a- and b-sums are the exact integer closed form
-  P [P | n] c_q(n/P); the short j-sum of the delta weight is added in
-  order, j = 1 first;
+  P [P | n] c_q(n/P); the delta weight of modulus q is row q of one table
+  over m = q j at x0 = fl(1/Q): C_q = sum_j A_qj added from 0 in j order,
+  then each B_qj(y) subtracted in j order;
 - a scheme's raw_zero is the decomposition's own raw sum at n = 0, taken
   with the level-1 gamma-sum c_q(0) = phi(q) at every level, and is fixed
-  when the scheme is built; every decomposition value is its raw sum
-  divided by raw_zero, so the plain anchor is exactly 1;
+  when the scheme is built: at y = 0 no B_m is nonzero, so it is
+  fsum_q phi(q) C_q / Q^2 over q <= Q.  Every decomposition value is its
+  raw sum divided by raw_zero, so the plain anchor is exactly 1;
 - both Bessel-kernel integrals, the Voronoi dual integrals of the pipeline
   and the double integral here, take one fixed rule, _sqrt_gauss_rule:
   Gauss-Legendre in u = sqrt(y), where the Bessel phase is linear, on
@@ -434,57 +436,76 @@ def bessel_j_array(order: int, xs: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 # relative widening of the bump's support when bisecting for the band of
-# |y| it can reach: far above the few ulps a quotient |y| / (x j) can move
+# |y| it can reach: far above the few ulps a quotient |y| / (m x) can move
 _BAND_MARGIN = 1e-9
+# values of B_m per evaluation: the bump holds about eight temporaries of
+# this length, so a wide band goes in pieces
+_BAND_PIECE = 1 << 12
 
 
-def delta_weight_array(x: float, ys: np.ndarray, bump: SmoothBump) -> np.ndarray:
+def delta_weight_array(
+    x: float, ys: np.ndarray, bump: SmoothBump, multiples=None
+) -> np.ndarray:
     """g(x, y) = sum_{j >= 1} (x j)^-1 (w(x j) - w(|y| / (x j))) at one
-    x > 0, for every y in ys.
+    x > 0, for every y in ys.  With multiples, a sequence of integers
+    k >= 1, it returns the rows g(k x, y), one per k, stacked to shape
+    (len(multiples),) + ys.shape: range(1, K + 1) gives rows 1..K.
 
     w is the scheme bump supported in [1/2, 1]; the sum is finite because
     both arguments leave the support once j > max(1, 2|y|)/x, and g is 0
-    whenever x > max(1, 2|y|).  The terms past an element's own last j are
-    exactly 0, so each value depends on (x, y) alone, never on the other
-    elements of ys.
+    whenever x > max(1, 2|y|).  The term depends on (k, j) only through
+    m = k j: with A_m = w(m x) / (m x) and B_m(y) = w(|y| / (m x)) / (m x),
+    row k is C_k - sum_j B_kj(y), where C_k = sum_j A_kj is added from 0 in
+    j order and the B_kj are then subtracted in j order; the row is set to
+    0 where k x > max(1, 2|y|).  Each value depends on (k, x, y) alone,
+    never on the other elements of ys or the other rows.
 
     Accuracy contract, tested against mpmath at 30 digits with the bump's
-    own scale, for x in [0.02, 3], |y| <= 3 and sharpness 0.25, 0.5 and 1:
-    x |g - g_exact| <= 1e-14.
+    own scale, at exact k x for k x in [0.02, 3], |y| <= 3 and sharpness
+    0.25, 0.5 and 1: k x |g - g_exact| <= 1e-14.
 
-    |y| is sorted once, and for each j w(|y| / (x j)) is evaluated only on
-    the band of |y| in (lo x j, hi x j): the bump's support (lo, hi),
-    widened by a relative _BAND_MARGIN, bisected in the sorted |y|.  The
-    bump's own strict test still decides membership.  Off the band the term
-    is (w(x j) - 0) / x j, added only when it is nonzero, so every element
-    sees the same sequence of adds as in a pass over the whole array.
+    |y| is sorted once, and B_m is evaluated only on its band of |y| in
+    (lo m x, hi m x): the bump's support (lo, hi), widened by a relative
+    _BAND_MARGIN, found for every m by one bisection in the sorted |y|.
+    The bump's own strict test still decides membership and B_m is 0 off
+    the band, so every value is the one a pass over the whole array gives.
+    A row is built in the sorted order, one row at a time, and scattered to
+    its place; a band is evaluated _BAND_PIECE values at a time.
     """
     if x <= 0:
         raise ValueError("x must be positive")
+    ks = np.asarray(1 if multiples is None else multiples, dtype=np.int64).reshape(-1)
+    if np.any(ks < 1):
+        raise ValueError("multiples must be positive integers")
     ys_abs = np.abs(np.asarray(ys, dtype=float))
-    y_top = float(ys_abs.max()) if ys_abs.size else 0.0
-    if x > max(1.0, 2.0 * y_top):
-        return np.zeros_like(ys_abs)
-    j_max = int(math.ceil(max(1.0, 2.0 * y_top) / x))
-    # the sum runs over |y| in ascending order, so each band is a slice
+    # each band is a slice of |y| in ascending order
     order = np.argsort(ys_abs, axis=None)
     ordered = ys_abs.ravel()[order]
+    # A_m for m x < hi, and B_m, which reaches |y| only for lo m x < max |y|
+    m_x = np.arange(1, int(bump.hi / x) + 2) * x
+    a = bump.value_array(m_x) / m_x
+    m_top = int(ordered[-1] / (bump.lo * x)) + 2 if ordered.size else 0
     margin = _BAND_MARGIN * max(abs(bump.lo), abs(bump.hi))
     edges = np.array([bump.lo - margin, bump.hi + margin])
-    acc = np.zeros_like(ordered)
-    xjs = x * np.arange(1, j_max + 1)
-    for xj, w_xj in zip(xjs.tolist(), bump.value_array(xjs).tolist()):
-        start, stop = np.searchsorted(ordered, edges * xj).tolist()
-        if w_xj:
-            # w(|y| / x j) = 0 off the band
-            acc[:start] += w_xj / xj
-            acc[stop:] += w_xj / xj
-        if start < stop:
-            acc[start:stop] += (w_xj - bump.value_array(ordered[start:stop] / xj)) / xj
-    acc[x > np.maximum(1.0, 2.0 * ordered)] = 0.0
-    out = np.empty_like(acc)
-    out[order] = acc
-    return out.reshape(ys_abs.shape)
+    bands = np.searchsorted(ordered, np.multiply.outer(edges, np.arange(1, m_top + 1) * x))
+    rows = np.empty((ks.size, ordered.size))
+    row = np.empty_like(ordered)
+    for i, k in enumerate(ks.tolist()):
+        # C_k, the cumulative sum taken in j order
+        row.fill(np.cumsum(a[k - 1 :: k])[-1] if k <= a.size else 0.0)
+        for j in range(1, m_top // k + 1):
+            start, stop = bands[:, k * j - 1].tolist()
+            mx = k * j * x
+            for first in range(start, stop, _BAND_PIECE):
+                band = slice(first, min(first + _BAND_PIECE, stop))
+                row[band] -= bump.value_array(ordered[band] / mx) / mx
+        if k * x > 1.0:
+            # k x > max(1, 2|y|): the |y| below k x / 2, a prefix
+            row[: np.searchsorted(ordered, 0.5 * (k * x))] = 0.0
+        rows[i, order] = row
+    if multiples is None:
+        return rows[0].reshape(ys_abs.shape)
+    return rows.reshape(ks.shape + ys_abs.shape)
 
 
 @dataclass(frozen=True)
@@ -517,31 +538,41 @@ class DeltaScheme:
 
     def q_max(self, n: int) -> int:
         """Largest modulus with a nonzero weight for this n."""
-        q2 = self.q_scale * self.q_scale
-        return int(
-            math.ceil(self.q_scale * max(1.0, 2.0 * abs(n) / (self.level * q2)))
-        )
+        return _q_max(self.q_scale, self.level, n)
+
+
+def _q_max(q_scale: float, level: int, n: int) -> int:
+    """ceil(Q max(1, 2 |n| / (P Q^2))): past it g(q/Q, n/(P Q^2)) is 0."""
+    q2 = q_scale * q_scale
+    return int(math.ceil(q_scale * max(1.0, 2.0 * abs(n) / (level * q2))))
 
 
 def _weight_columns(scheme: DeltaScheme, ns):
     """(q, live, g) for each q in 1..q_max(max |n|) whose weight
-    g(q/Q, n/(P Q^2)) is nonzero at some n of ns: live indexes those n and
-    g holds their weights.  The one q-loop of the delta symbol.
+    g(q x0, n/(P Q^2)), x0 = fl(1/Q), is nonzero at some n of ns: live
+    indexes those n and g holds their weights.  The one q-loop of the delta
+    symbol.
 
-    The weight is evaluated once per q on the distinct |n|, sorted, and
-    scattered back to ns; each value depends on (x, y) alone, so g is the
-    same as on ns itself."""
+    The weight is evaluated on the distinct |n|, sorted, as the rows of
+    one delta_weight_array call per block of q, each block at most _CHUNK
+    values, and scattered back to ns; each value depends on (q, x0, y)
+    alone, so g is the same as on ns itself."""
     q_scale = scheme.q_scale
     distinct, inverse = np.unique(np.abs(np.asarray(ns)), return_inverse=True)
     ys = distinct / (scheme.level * q_scale * q_scale)
-    for q in range(1, scheme.q_max(int(distinct.max(initial=0))) + 1):
-        gvals = delta_weight_array(q / q_scale, ys, scheme.bump)[inverse]
-        live = np.flatnonzero(gvals)
-        if live.size:
-            yield q, live, gvals[live]
+    q_top = scheme.q_max(int(distinct.max(initial=0)))
+    block = max(1, _CHUNK // max(1, ys.size))
+    for first in range(1, q_top + 1, block):
+        qs = range(first, min(first + block, q_top + 1))
+        rows = delta_weight_array(1.0 / q_scale, ys, scheme.bump, multiples=qs)
+        for q, row in zip(qs, rows):
+            gvals = row[inverse]
+            live = np.flatnonzero(gvals)
+            if live.size:
+                yield q, live, gvals[live]
 
 
-# nothing here reads _phi_cache: perfbench reports its cache hits by this name
+# phi(q) for 0 <= q <= bound: c_q(0) in the calibration
 @lru_cache(maxsize=16)
 def _phi_cache(bound: int) -> tuple[int, ...]:
     from .arith import MultiplicativeTable
@@ -550,23 +581,30 @@ def _phi_cache(bound: int) -> tuple[int, ...]:
 
 
 def _raw_sums(scheme: DeltaScheme, flat: np.ndarray, level: int) -> np.ndarray:
-    """(1/(P Q^2)) sum_q P [P | n] c_q(n/P) g(q/Q, n/(P_s Q^2)) for each
+    """(1/(P Q^2)) sum_q P [P | n] c_q(n/P) g(q x0, n/(P_s Q^2)) for each
     n >= 0 of flat, one math.fsum per n, with P_s the scheme's level and P
     the gamma-sum's: P_s for both decompositions, 1 for the calibration."""
-    terms = np.zeros((flat.size, scheme.q_max(int(flat.max(initial=0)))))
+    top = int(flat.max(initial=0))
+    terms = np.zeros((flat.size, scheme.q_max(top)))
     for q, live, g in _weight_columns(scheme, flat):
-        # the gamma-sum has period qP in n: one table of it, one residue per n
-        table = coprime_residue_sum(q, level, np.arange(q * level))
+        # the gamma-sum has period qP in n: one table of it over the
+        # residues an n <= top can leave, one residue per n
+        table = coprime_residue_sum(q, level, np.arange(min(q * level, top + 1)))
         terms[live, q - 1] = table[flat[live] % (q * level)] * g
     scale = level * scheme.q_scale * scheme.q_scale
     return np.array([math.fsum(row.tolist()) / scale for row in terms])
 
 
 def calibrate(scheme: DeltaScheme) -> float:
-    """raw_zero, the raw decomposition at n = 0, for DeltaScheme to store.
-    At P = 1 it is the plain decomposition's own raw sum at n = 0, so the
-    anchor is exact; CalibrationError if the bump makes it unusable."""
-    raw = float(_raw_sums(scheme, np.zeros(1, dtype=np.int64), 1)[0])
+    """raw_zero, the raw decomposition at n = 0, for DeltaScheme to store:
+    Q^-2 fsum_q phi(q) g(q x0, 0), the terms of _raw_sums(scheme, [0], 1)
+    with c_q(0) = phi(q), so at P = 1 it is the plain decomposition's own
+    raw sum at n = 0 and the anchor is exact; CalibrationError if the bump
+    makes it unusable."""
+    phi = _phi_cache(scheme.q_max(0))
+    columns = _weight_columns(scheme, np.zeros(1, dtype=np.int64))
+    raw = math.fsum([phi[q] * float(g[0]) for q, _, g in columns])
+    raw /= scheme.q_scale * scheme.q_scale
     if raw < 1e-3:
         raise CalibrationError(f"raw decomposition at n = 0 is {raw}; bump unusable")
     window = 1.0 / scheme.q_scale

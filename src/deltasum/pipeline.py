@@ -8,6 +8,7 @@ arithmetic for the hybrid subconvexity range.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -69,7 +70,8 @@ class PipelineMismatch(ArithmeticError):
 
 
 class Inconclusive(ArithmeticError):
-    """Both sides of an identity are too small to solve for the phase."""
+    """The phase cannot be solved for: both sides of the identity are too
+    small, or the solve gives a phase or residual that is not finite."""
 
 
 IDENTITY_REL_TOL = 1e-6
@@ -473,6 +475,11 @@ def verify_voronoi(
     eta = lhs / dual
     lhs2 = _twisted_partial_sum(f, a, q, h2)
     residual = abs(lhs2 - eta * dual2) / max(abs(lhs2), 1e-12)
+    if not (cmath.isfinite(eta) and math.isfinite(residual)):
+        raise Inconclusive(
+            f"eta {eta} or residual {residual} is not finite "
+            f"(lhs={lhs}, dual={dual}, lhs2={lhs2}, dual2={dual2})"
+        )
     return VoronoiReport(
         eta=eta,
         eta_abs_error=abs(abs(eta) - 1.0),

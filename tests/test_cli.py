@@ -61,6 +61,46 @@ def test_delta_table_size_is_bounded(monkeypatch, capsys):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv, rows",
+    [
+        (["--Q", "32769", "--nmax", "0"], 32769),
+        (["--Q", "10", "--nmax", "200000"], 40000),
+        (["--Q", "1e9", "--nmax", "0"], 10**9),
+    ],
+)
+def test_delta_rows_are_bounded(monkeypatch, capsys, argv, rows):
+    """More moduli q than the row limit exits 2 with one line, before the
+    scheme calibrates: the limit bounds the run time where the cell budget
+    does not (Q = 40000 at nmax = 0 is 40000 cells)."""
+    monkeypatch.setattr(cli, "DeltaScheme", lambda *args: pytest.fail("scheme built"))
+    assert cli.main(["delta", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f" needs {rows} moduli q, over {cli._DELTA_ROWS}\n")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("q", ["inf", "nan", "1"])
+def test_delta_rejects_a_q_that_is_not_finite_above_one(capsys, q):
+    assert cli.main(["delta", "--Q", q]) == 2
+    assert capsys.readouterr().err == "error: Q must be finite and exceed 1\n"
+
+
+def test_voronoi_nan_phase_is_inconclusive(monkeypatch, capsys):
+    """A dual side that comes back NaN exits 3 with one line and no table,
+    where the phase used to be written as nan with status 0."""
+    from deltasum import pipeline
+
+    nan = complex(math.nan, math.nan)
+    monkeypatch.setattr(pipeline, "_dual_side", lambda f, a, q, hs, tol: [(nan, 10) for _ in hs])
+    assert cli.main(["voronoi", "--form", "E2_11_2", "--q", "3", "--bound", "1000"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: Inconclusive: eta (nan+nanj) or residual nan ")
+    assert captured.err.count("\n") == 1
+
+
 def test_characters_table():
     status, out = _run(["characters", "--M", "5"])
     assert status == 0

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from deltasum import kernels, verify
@@ -247,11 +247,12 @@ def test_weight_flat_in_y_inside_core():
 
 
 def test_weight_array_matches_mpmath():
-    """The accuracy contract of delta_weight_array: x |g - g_exact| <= 1e-14
-    for x in [0.02, 3], |y| <= 3, sharpness 0.25, 0.5 and 1."""
+    """The accuracy contract of delta_weight_array: k x |g - g_exact| <=
+    1e-14 at exact k x, for k x in [0.02, 3], |y| <= 3, sharpness 0.25,
+    0.5 and 1, on the rows of one multiples call per x."""
     mpmath = pytest.importorskip("mpmath")
 
-    def exact(x, y, bump):
+    def exact(kx, y, bump):
         # the bump's own (float) scale, everything else at 30 digits
         lo, width = mpmath.mpf(bump.lo), mpmath.mpf(bump.hi - bump.lo)
 
@@ -261,35 +262,47 @@ def test_weight_array_matches_mpmath():
                 return mpmath.mpf(0)
             return mpmath.mpf(bump._scale) * mpmath.exp(-bump.sharpness / (u * (1 - u)))
 
-        x, y = mpmath.mpf(x), abs(mpmath.mpf(y))
-        j_max = int(mpmath.ceil(max(1, 2 * y) / x))
-        return mpmath.fsum((w(x * j) - w(y / (x * j))) / (x * j) for j in range(1, j_max + 1))
+        y = abs(mpmath.mpf(y))
+        j_max = int(mpmath.ceil(max(1, 2 * y) / kx))
+        return mpmath.fsum((w(kx * j) - w(y / (kx * j))) / (kx * j) for j in range(1, j_max + 1))
 
     ys = np.linspace(-3.0, 3.0, 41)
+    # x = 0.02 with every row up to k x = 3, x = 1/Q at the ladder's Q, and
+    # one x whose rows are all past 1/2
+    cases = ((0.02, 150), (1.0 / 126.5, 379), (0.37, 8), (3.0, 1))
     worst = 0.0
     with mpmath.workdps(30):
         for sharpness in (0.25, 0.5, 1.0):
             w = default_delta_bump(sharpness)
-            for x in np.linspace(0.02, 3.0, 24).tolist():
-                g = kernels.delta_weight_array(x, ys, w)
-                for y, value in zip(ys.tolist(), g.tolist()):
-                    worst = max(worst, x * abs(value - float(exact(x, y, w))))
+            for x, k_top in cases:
+                rows = kernels.delta_weight_array(x, ys, w, multiples=range(1, k_top + 1))
+                assert rows.shape == (k_top, ys.size)
+                for k in np.unique(np.geomspace(1, k_top, 8).round().astype(int)).tolist():
+                    kx = mpmath.mpf(k) * mpmath.mpf(x)
+                    for y, value in zip(ys.tolist(), rows[k - 1].tolist()):
+                        worst = max(worst, float(kx) * abs(value - float(exact(kx, y, w))))
     assert worst <= 1e-14, worst
 
 
-def _delta_weight_full_pass(x, ys, bump):
-    """delta_weight_array as one pass over the whole array per j."""
+def _delta_weight_full_pass(x, ys, bump, multiples):
+    """delta_weight_array literally: row k is C_k = sum_j A_kj, added from 0
+    in j order, minus every B_kj(y) over the whole array in j order, set
+    to 0 where k x > max(1, 2|y|); A_m = w(m x)/(m x) and
+    B_m(y) = w(|y|/(m x))/(m x)."""
     ys_abs = np.abs(np.asarray(ys, dtype=float))
-    y_top = float(ys_abs.max()) if ys_abs.size else 0.0
-    if x > max(1.0, 2.0 * y_top):
-        return np.zeros_like(ys_abs)
-    j_max = int(math.ceil(max(1.0, 2.0 * y_top) / x))
-    acc = np.zeros_like(ys_abs)
-    for j in range(1, j_max + 1):
-        xj = x * j
-        acc += (bump(xj) - bump.value_array(ys_abs / xj)) / xj
-    acc[x > np.maximum(1.0, 2.0 * ys_abs)] = 0.0
-    return acc
+    top = max(1.0, 2.0 * float(ys_abs.max(initial=0.0)))
+    rows = []
+    for k in multiples:
+        j_max = int(math.ceil(top / (k * x)))
+        c = 0.0
+        for j in range(1, j_max + 1):
+            c += bump(k * j * x) / (k * j * x)
+        acc = np.full(ys_abs.shape, c)
+        for j in range(1, j_max + 1):
+            acc -= bump.value_array(ys_abs / (k * j * x)) / (k * j * x)
+        acc[k * x > np.maximum(1.0, 2.0 * ys_abs)] = 0.0
+        rows.append(acc)
+    return np.array(rows).reshape((len(multiples),) + ys_abs.shape)
 
 
 _WEIGHT_BUMPS = {s: default_delta_bump(s) for s in (0.25, 0.5, 1.0)}
@@ -300,11 +313,11 @@ def _weight_inputs(draw):
     bump = _WEIGHT_BUMPS[draw(st.sampled_from(sorted(_WEIGHT_BUMPS)))]
     x = draw(st.floats(0.02, 3.0))
     ys = draw(st.lists(st.floats(-3.0, 3.0), max_size=30))
-    # points on the edges of some j's band, a float step off them, and a
+    # points on the edges of some m's band, a float step off them, and a
     # little inside or outside, where w is tiny but not 0
-    j_top = int(math.ceil(6.0 / x))
-    for j in draw(st.lists(st.integers(1, j_top), max_size=6)):
-        for edge in (bump.lo * (x * j), bump.hi * (x * j)):
+    m_top = int(math.ceil(6.0 / x))
+    for m in draw(st.lists(st.integers(1, m_top), max_size=6)):
+        for edge in (bump.lo * (m * x), bump.hi * (m * x)):
             offset = draw(st.sampled_from((-1e-2, -1e-3, 1e-3, 1e-2)))
             near = (np.nextafter(edge, 0.0), edge, np.nextafter(edge, 4.0), edge * (1 + offset))
             for y in near:
@@ -313,22 +326,52 @@ def _weight_inputs(draw):
     ys = np.array(ys, dtype=float)
     if ys.size % 2 == 0 and draw(st.booleans()):
         ys = ys.reshape(2, -1)
-    return x, ys, bump
+    first = draw(st.integers(1, 6))
+    multiples = draw(st.sampled_from((None, range(first, first + draw(st.integers(0, 5))))))
+    return x, ys, bump, multiples
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
 @given(_weight_inputs())
-@example((0.3, np.zeros(0), _WEIGHT_BUMPS[0.5]))
-@example((0.3, np.zeros(7), _WEIGHT_BUMPS[0.25]))
-@example((0.02, np.linspace(-3.0, 3.0, 12).reshape(3, 4), _WEIGHT_BUMPS[1.0]))
+@example((0.3, np.zeros(0), _WEIGHT_BUMPS[0.5], None))
+@example((0.3, np.zeros(7), _WEIGHT_BUMPS[0.25], range(1, 5)))
+@example((0.02, np.linspace(-3.0, 3.0, 12).reshape(3, 4), _WEIGHT_BUMPS[1.0], None))
+@example((0.02, np.linspace(-3.0, 3.0, 12), _WEIGHT_BUMPS[0.5], range(1, 151)))
 def test_weight_array_matches_full_pass(case):
-    """The band-limited j-loop adds exactly the terms of a pass over the
-    whole array, in the same order: bitwise equal, shape kept."""
-    x, ys, bump = case
-    got = kernels.delta_weight_array(x, ys, bump)
-    want = _delta_weight_full_pass(x, ys, bump)
-    assert got.shape == want.shape == ys.shape
-    assert got.tobytes() == want.tobytes()
+    """The banded rows equal, bit for bit, the literal pass of C_k - sum_j
+    B_kj over the whole array; shape ys.shape for one x, else one row per
+    multiple."""
+    x, ys, bump, multiples = case
+    got = kernels.delta_weight_array(x, ys, bump, multiples=multiples)
+    want = _delta_weight_full_pass(x, ys, bump, (1,) if multiples is None else multiples)
+    shape = ys.shape if multiples is None else (len(multiples),) + ys.shape
+    assert got.shape == shape
+    assert got.tobytes() == want.reshape(shape).tobytes()
+
+
+def test_weight_array_rejects_a_multiple_below_one():
+    with pytest.raises(ValueError):
+        kernels.delta_weight_array(0.3, np.zeros(3), _WEIGHT_BUMPS[0.5], multiples=range(0, 3))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(
+    st.floats(1.0, 1000.0, exclude_min=True),
+    st.sampled_from((0.25, 0.5, 1.0)),
+    st.sampled_from((1, 2, 3, 5, 11)),
+)
+@example(126.49110640673517, 0.5, 1)
+@example(1000.0, 1.0, 11)
+def test_calibration_is_the_raw_sum_at_zero(q_scale, sharpness, level):
+    """calibrate's phi(q)-weighted sum over the weight rows is, bit for
+    bit, the decomposition's own raw sum at n = 0 with the level-1
+    gamma-sum."""
+    try:
+        scheme = kernels.DeltaScheme(q_scale, level, default_delta_bump(sharpness))
+    except kernels.CalibrationError:
+        reject()
+    raw = kernels._raw_sums(scheme, np.zeros(1, dtype=np.int64), 1)[0]
+    assert kernels.calibrate(scheme) == scheme.raw_zero == raw
 
 
 def test_scheme_validation():
@@ -453,8 +496,10 @@ def _pinned_delta_values():
 
 
 # sha256 of _pinned_delta_values, joined by newlines, as written when the
-# a- and b-sums were still summed term by term
-_DELTA_SHA256 = "85c877cf87e454b855eb50f396cb40abc22d8e437461bdf9b03acdf9fac3cb59"
+# weight rows became C_k - sum_j B_kj at k fl(1/Q); every value within
+# 1e-15 absolute, and every raw_zero within 1e-15 relative, of the per-q
+# j-sums before
+_DELTA_SHA256 = "b7a5641a48d933325d1c7d802a6a844b4f84f8fc1bdb13044bc91e6dfdd92ca5"
 
 
 def test_delta_values_unchanged():
