@@ -98,7 +98,7 @@ def _pollard_brent(n: int) -> int:
                 ys = y
                 for _ in range(min(m, r - k)):
                     y = (y * y + c) % n
-                    q = q * abs(x - y) % n
+                    q = q * (x - y) % n
                 g = math.gcd(q, n)
                 k += m
             r *= 2
@@ -106,10 +106,14 @@ def _pollard_brent(n: int) -> int:
             g = 1
             while g == 1:
                 ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
+                g = math.gcd(x - ys, n)
         if g != n:
             return g
     raise ArithmeticError(f"rho failed to split {n}")
+
+
+# factorize's trial divisors, the primes below 2^10
+_TRIAL_PRIMES = tuple(p for p in range(1 << 10) if is_prime(p))
 
 
 def factorize(n: int) -> Factorization:
@@ -118,22 +122,21 @@ def factorize(n: int) -> Factorization:
         raise ValueError("factorize requires n >= 1")
     if n >= 1 << 63:
         raise ValueError("factorize limited to n < 2^63")
-    target = n
     counts: dict[int, int] = {}
-
-    def strip(m: int, p: int) -> int:
-        while m % p == 0:
-            counts[p] = counts.get(p, 0) + 1
-            m //= p
-        return m
-
-    m = strip(n, 2)
-    m = strip(m, 3)
-    d = 5
-    while d * d <= m and d < 1 << 10:
-        m = strip(m, d)
-        m = strip(m, d + 2)
-        d += 6
+    m = n
+    for p in _TRIAL_PRIMES:
+        if p * p > m:
+            break
+        if m % p == 0:
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            counts[p] = e
+    if 1 < m < 1 << 20:
+        # no prime below 2^10 divides m, so it has no room for two prime factors
+        counts[m] = 1
+        m = 1
     stack = [m] if m > 1 else []
     while stack:
         m = stack.pop()
@@ -145,7 +148,7 @@ def factorize(n: int) -> Factorization:
         g = _pollard_brent(m)
         stack.append(g)
         stack.append(m // g)
-    return Factorization(target, tuple(sorted(counts.items())))
+    return Factorization(n, tuple(sorted(counts.items())))
 
 
 def divisors(n: int | Factorization) -> list[int]:

@@ -160,7 +160,13 @@ class DirichletCharacter:
         return np.where(k >= 0, self.group.roots[k], 0)
 
     def __call__(self, n: int) -> complex:
-        return complex(self.values(n % self.modulus))
+        """chi(n) for one integer n: the value of values(n), read from the
+        group's tables without building arrays."""
+        g = self.group
+        res = n % g.modulus
+        if not g.units[res]:
+            return 0j
+        return g.roots.item(int(g.logs[res].dot(self._weights)) % g.order)
 
     def conjugate(self) -> DirichletCharacter:
         """The complex-conjugate character (indices negated)."""

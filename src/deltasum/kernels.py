@@ -120,11 +120,10 @@ class SmoothBump:
         """
         xs = np.asarray(xs, dtype=float)
         u = (xs - self.lo) / (self.hi - self.lo)
-        inside = (u > 0.0) & (u < 1.0)
-        out = np.zeros_like(u)
-        uu = u[inside]
-        out[inside] = self._scale * np.exp(-self.sharpness / (uu * (1.0 - uu)))
-        return out
+        # off (0, 1) the quotient may divide by 0 or exp overflow; where drops it
+        with np.errstate(divide="ignore", over="ignore"):
+            values = self._scale * np.exp(-self.sharpness / (u * (1.0 - u)))
+        return np.where((u > 0.0) & (u < 1.0), values, 0.0)
 
     def derivative(self, xs: np.ndarray) -> np.ndarray:
         """w'(x) elementwise: a float for a scalar x, else an array."""
@@ -469,8 +468,11 @@ def delta_weight_array(
     _BAND_MARGIN, found for every m by one bisection in the sorted |y|.
     The bump's own strict test still decides membership and B_m is 0 off
     the band, so every value is the one a pass over the whole array gives.
-    A row is built in the sorted order, one row at a time, and scattered to
-    its place; a band is evaluated _BAND_PIECE values at a time.
+    The rows are built together in the sorted order of |y|, each started at
+    C_k: m runs up over the multiples of the call's k, and each B_m is
+    evaluated once, _BAND_PIECE values at a time, and subtracted from every
+    row whose k divides m; ascending m is each row's j order.  The rows are
+    then scattered to their places.
     """
     if x <= 0:
         raise ValueError("x must be positive")
@@ -488,21 +490,28 @@ def delta_weight_array(
     margin = _BAND_MARGIN * max(abs(bump.lo), abs(bump.hi))
     edges = np.array([bump.lo - margin, bump.hi + margin])
     bands = np.searchsorted(ordered, np.multiply.outer(edges, np.arange(1, m_top + 1) * x))
-    rows = np.empty((ks.size, ordered.size))
-    row = np.empty_like(ordered)
+    sorted_rows = np.empty((ks.size, ordered.size))
+    # the rows each m reaches: those whose k divides it
+    reach: dict[int, list[int]] = {}
     for i, k in enumerate(ks.tolist()):
         # C_k, the cumulative sum taken in j order
-        row.fill(np.cumsum(a[k - 1 :: k])[-1] if k <= a.size else 0.0)
-        for j in range(1, m_top // k + 1):
-            start, stop = bands[:, k * j - 1].tolist()
-            mx = k * j * x
-            for first in range(start, stop, _BAND_PIECE):
-                band = slice(first, min(first + _BAND_PIECE, stop))
-                row[band] -= bump.value_array(ordered[band] / mx) / mx
+        sorted_rows[i] = np.cumsum(a[k - 1 :: k])[-1] if k <= a.size else 0.0
+        for m in range(k, m_top + 1, k):
+            reach.setdefault(m, []).append(i)
+    for m in sorted(reach):
+        start, stop = bands[:, m - 1].tolist()
+        mx = m * x
+        for first in range(start, stop, _BAND_PIECE):
+            band = slice(first, min(first + _BAND_PIECE, stop))
+            b_m = bump.value_array(ordered[band] / mx) / mx
+            for i in reach[m]:
+                sorted_rows[i, band] -= b_m
+    for i, k in enumerate(ks.tolist()):
         if k * x > 1.0:
             # k x > max(1, 2|y|): the |y| below k x / 2, a prefix
-            row[: np.searchsorted(ordered, 0.5 * (k * x))] = 0.0
-        rows[i, order] = row
+            sorted_rows[i, : np.searchsorted(ordered, 0.5 * (k * x))] = 0.0
+    rows = np.empty_like(sorted_rows)
+    rows[:, order] = sorted_rows
     if multiples is None:
         return rows[0].reshape(ys_abs.shape)
     return rows.reshape(ks.shape + ys_abs.shape)
@@ -550,8 +559,9 @@ def _q_max(q_scale: float, level: int, n: int) -> int:
 def _weight_columns(scheme: DeltaScheme, ns):
     """(q, live, g) for each q in 1..q_max(max |n|) whose weight
     g(q x0, n/(P Q^2)), x0 = fl(1/Q), is nonzero at some n of ns: live
-    indexes those n and g holds their weights.  The one q-loop of the delta
-    symbol.
+    indexes those n and g holds their weights.  A row nonzero at every n
+    has live = slice(None) and g over the whole of ns, with no index list.
+    The one q-loop of the delta symbol.
 
     The weight is evaluated on the distinct |n|, sorted, as the rows of
     one delta_weight_array call per block of q, each block at most _CHUNK
@@ -567,9 +577,13 @@ def _weight_columns(scheme: DeltaScheme, ns):
         rows = delta_weight_array(1.0 / q_scale, ys, scheme.bump, multiples=qs)
         for q, row in zip(qs, rows):
             gvals = row[inverse]
-            live = np.flatnonzero(gvals)
-            if live.size:
-                yield q, live, gvals[live]
+            if row.all():
+                live = slice(None)
+            else:
+                live = np.flatnonzero(gvals)
+                gvals = gvals[live]
+            if gvals.size:
+                yield q, live, gvals
 
 
 # phi(q) for 0 <= q <= bound: c_q(0) in the calibration

@@ -12,6 +12,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 import numpy as np
@@ -87,8 +88,10 @@ def q_cap(x_scale: float, y_scale: float, level: int) -> float:
     return math.sqrt(8.0 * max(x_scale, y_scale) / level)
 
 
+@lru_cache(maxsize=8)
 def default_delta_bump(sharpness: float = 0.5) -> SmoothBump:
-    """The scheme bump: supported in [1/2, 1], unit integral."""
+    """The scheme bump: supported in [1/2, 1], unit integral.  The bump is
+    frozen, so each sharpness is built, and normalized, once."""
     return SmoothBump(0.5, 1.0, sharpness=sharpness, normalization="integral")
 
 
@@ -206,22 +209,34 @@ def _pair_amplitudes(spec: ShiftedSumSpec) -> tuple[np.ndarray, np.ndarray]:
     return ts[keep], amps[keep]
 
 
+# tables of up to three closed forms over q P residues: the shifted sums of
+# one form at several X reach the same (q, P)
+@lru_cache(maxsize=512)
+def _gamma_tables(q: int, level: int) -> tuple[np.ndarray, ...]:
+    """The closed forms of _gamma_sums on the residues 0..qP-1, each by
+    its own function, as read-only int64 arrays."""
+    qp = q * level
+    residues = np.arange(qp)
+    tables = [coprime_residue_sum(q, level, residues)]
+    if level > 1 and q % level:
+        tables += [ramanujan_sum(qp, residues), ramanujan_sum(q, residues)]
+    for table in tables:
+        table.flags.writeable = False
+    return tuple(tables)
+
+
 def _gamma_sums(q: int, level: int, ts: np.ndarray) -> tuple[np.ndarray, ...]:
     """The gamma-sums of the decomposition at each t, as exact int64s: the
     whole sum over gamma mod qP with gcd(gamma, q) = 1, P [P | t] c_q(t/P),
     and, for P > 1 not dividing q, the coprime stratum c_{qP}(t) and the
     gamma-multiple stratum c_q(t).
 
-    Each form has period qP in t, so each is evaluated by its own function
-    on the residues 0..qP-1 and read at t mod qP: the same integers as on
-    t itself, and the strata are never derived from the whole."""
-    qp = q * level
-    residues = np.arange(qp)
-    res = ts % qp
-    whole = coprime_residue_sum(q, level, residues)[res]
-    if level == 1 or q % level == 0:
-        return (whole,)
-    return whole, ramanujan_sum(qp, residues)[res], ramanujan_sum(q, residues)[res]
+    Each form has period qP in t, so each is read at t mod qP from its
+    table over the residues 0..qP-1 (_gamma_tables, built once per (q, P)):
+    the same integers as on t itself, and the strata are never derived
+    from the whole."""
+    res = ts % (q * level)
+    return tuple(table[res] for table in _gamma_tables(q, level))
 
 
 def _decomposition(

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -97,6 +98,50 @@ def test_bump_scalar_is_one_element_array(bump, xs):
         single = bump.value_array(np.array([x]))[0]
         assert bump(x) == single == values[i]
         assert bump.derivative(x) == bump.derivative(np.array([x]))[0] == slopes[i]
+
+
+def _value_array_compress_scatter(bump, xs):
+    """SmoothBump.value_array literally: exp on the u inside (0, 1), taken
+    out by a boolean mask and scattered back into zeros."""
+    u = (np.asarray(xs, dtype=float) - bump.lo) / (bump.hi - bump.lo)
+    inside = (u > 0.0) & (u < 1.0)
+    out = np.zeros_like(u)
+    uu = u[inside]
+    out[inside] = bump._scale * np.exp(-bump.sharpness / (uu * (1.0 - uu)))
+    return out
+
+
+@st.composite
+def _bump_arrays(draw):
+    """A contract bump and points of it: the edges u = 0 and u = 1, one ulp
+    either side of them, NaN, +-inf, and anywhere on and around the support."""
+    bump = draw(st.sampled_from(_CONTRACT_BUMPS))
+    edges = [
+        float(x)
+        for edge in (bump.lo, bump.hi)
+        for x in (np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf))
+    ]
+    width = bump.hi - bump.lo
+    points = st.one_of(
+        st.sampled_from(edges + [math.nan, math.inf, -math.inf]),
+        st.floats(bump.lo - width, bump.hi + width),
+    )
+    return bump, np.array(draw(st.lists(points, min_size=1, max_size=20)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_bump_arrays())
+def test_bump_value_array_matches_compress_scatter(case):
+    """value_array, one pass with a select, gives the bits of the compress
+    and scatter formula, for arrays and 0-d inputs, and warns of nothing."""
+    bump, xs = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert bump.value_array(xs).tobytes() == _value_array_compress_scatter(bump, xs).tobytes()
+        single = bump.value_array(xs[0])
+        assert single.shape == () and single.tobytes() == _value_array_compress_scatter(
+            bump, xs[0]
+        ).tobytes()
 
 
 def test_product_bump_bounds():
@@ -347,6 +392,36 @@ def test_weight_array_matches_full_pass(case):
     shape = ys.shape if multiples is None else (len(multiples),) + ys.shape
     assert got.shape == shape
     assert got.tobytes() == want.reshape(shape).tobytes()
+
+
+def test_weight_array_evaluates_each_b_m_once(monkeypatch):
+    """One call over rows 1..K asks value_array for the A_m and for each
+    B_m's band once, however many of the rows m is a multiple of: the
+    elements it evaluates are the A_m count plus the band lengths, each
+    band the sorted |y| in the bump's support times m x, widened by
+    _BAND_MARGIN."""
+    bump = _WEIGHT_BUMPS[0.5]
+    x, k_top = 1.0 / 126.5, 60
+    ys = np.random.default_rng(5).uniform(-0.6, 0.6, 2000)
+    evaluated = []
+    value_array = kernels.SmoothBump.value_array
+
+    def counting(self, xs):
+        evaluated.append(np.size(xs))
+        return value_array(self, xs)
+
+    monkeypatch.setattr(kernels.SmoothBump, "value_array", counting)
+    kernels.delta_weight_array(x, ys, bump, multiples=range(1, k_top + 1))
+    monkeypatch.undo()
+    ordered = np.sort(np.abs(ys))
+    margin = kernels._BAND_MARGIN * bump.hi
+    a_count = int(bump.hi / x) + 1
+    bands, m = 0, 1
+    while (bump.lo - margin) * (m * x) <= ordered[-1]:
+        lo, hi = np.searchsorted(ordered, [(bump.lo - margin) * (m * x), (bump.hi + margin) * (m * x)])
+        bands += int(hi - lo)
+        m += 1
+    assert sum(evaluated) == a_count + bands
 
 
 def test_weight_array_rejects_a_multiple_below_one():
