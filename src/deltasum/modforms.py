@@ -9,19 +9,23 @@ nebentypus, each realized as an eta product with integer q-expansion:
     E4_5_4       level 5,  weight 4    eta(z)^4  eta(5z)^4
     E2_11_2      level 11, weight 2    eta(z)^2  eta(11z)^2
 
-Coefficients are generated on demand from the pentagonal-number expansion
-of prod (1 - q^n), with exact integer arithmetic throughout (Python ints,
-so intermediate growth can never overflow). Normalized eigenvalues
+Coefficients are generated on demand from the sparse expansions of
+E(q) = prod (1 - q^n): Euler's pentagonal-number series, and Jacobi's
+series for E(q)^3. Arithmetic is exact throughout (Python ints, so
+intermediate growth can never overflow). Normalized eigenvalues
 lambda(n) = a(n) / n^((k-1)/2) leave the integers only at that final step.
 
-Series are multiplied by Kronecker substitution with byte-aligned digits
-(Harvey, J. Symbolic Comput. 2009): each coefficient list becomes one big
-integer whose base-256^w digits are the coefficients, written with
-`int.to_bytes` and read back with `int.from_bytes` after a bias of half a
-digit makes every digit of the product nonnegative. Packing and unpacking
-cost time linear in the number of digits, so one big-integer
-multiplication per product dominates. Every eta exponent is positive, so
-no series is ever inverted.
+Each form is one power of a product of sparse series: eta(z)^24 is
+(E^3)^8, and eta(z)^e eta(P z)^e is (E(q) E(q^P))^e, or (E(q)^3
+E(q^P)^3)^(e/3) when 3 | e. Series are multiplied by Kronecker
+substitution with byte-aligned digits (Harvey, J. Symbolic Comput.
+2009): each coefficient list becomes one big integer whose base-256^w
+digits are the coefficients, written with `int.to_bytes` and read back
+with `int.from_bytes` after a bias of half a digit makes every digit of
+the product nonnegative. Packing and unpacking cost time linear in the
+number of digits, so the big-integer products dominate: the squarings of
+the power, 10 of the 14 products that build the five forms. Every eta
+scale and exponent is positive, so no series is ever inverted.
 """
 
 from __future__ import annotations
@@ -72,11 +76,16 @@ def _poly_mul_trunc(a: list[int], b: list[int], n_max: int) -> list[int]:
     biased product has digits c_i + half in [0, 2^bits), which one
     `to_bytes` buffer yields slice by slice. Packing and unpacking are
     linear in the number of digits; the one big multiplication dominates.
+    When b is a, a is packed once and the integer squared: CPython
+    multiplies one object by itself with its faster squaring path.
     """
     la = min(len(a), n_max + 1)
-    lb = min(len(b), n_max + 1)
     ma = max((abs(x) for x in a[:la]), default=0)
-    mb = max((abs(x) for x in b[:lb]), default=0)
+    if b is a:
+        lb, mb = la, ma
+    else:
+        lb = min(len(b), n_max + 1)
+        mb = max((abs(x) for x in b[:lb]), default=0)
     if ma == 0 or mb == 0:
         return [0] * (n_max + 1)
     bound = ma * mb * min(la, lb)
@@ -85,7 +94,8 @@ def _poly_mul_trunc(a: list[int], b: list[int], n_max: int) -> list[int]:
     half = 1 << (bits - 1)
     n = n_max + 1
     bias = int.from_bytes((bytes(nbytes - 1) + b"\x80") * n, "little")
-    prod = _pack(a[:la], nbytes) * _pack(b[:lb], nbytes) + bias
+    pa = _pack(a[:la], nbytes)
+    prod = (pa * pa if b is a else pa * _pack(b[:lb], nbytes)) + bias
     buf = (prod & ((1 << (bits * n)) - 1)).to_bytes(nbytes * n, "little")
     return [
         int.from_bytes(buf[i : i + nbytes], "little") - half
@@ -126,32 +136,51 @@ def _euler_series(scale: int, n_max: int) -> list[int]:
     return out
 
 
+def _jacobi_series(scale: int, n_max: int) -> list[int]:
+    """prod_{n >= 1} (1 - q^(scale*n))^3 = sum_{k >= 0} (-1)^k (2k+1)
+    q^(scale*k(k+1)/2), Jacobi's identity (Hardy-Wright, Thm 357)."""
+    out = [0] * (n_max + 1)
+    k = 0
+    while (g := scale * k * (k + 1) // 2) <= n_max:
+        out[g] = -(2 * k + 1) if k % 2 else 2 * k + 1
+        k += 1
+    return out
+
+
 def eta_product_series(
     exponent_pairs: tuple[tuple[int, int], ...], bound: int
 ) -> list[int]:
     """Coefficients a(n) of prod eta(t z)^e / q^lead, indexed so a(1) = 1.
 
-    Every exponent e must be positive and lead = sum(e*t)/24 a positive
-    integer (rejected otherwise); a(n) is the coefficient of q^(n-1) in the
-    product of the Euler factors.
+    Every scale t and exponent e must be a positive int and lead =
+    sum(e*t)/24 an integer (rejected otherwise); a(n) is the coefficient of
+    q^(n-1) in the product of the Euler factors E(q^t) = prod (1 - q^(tn)).
+
+    With g the gcd of the exponents, the product is base^g for base =
+    prod E(q^t)^(e/g); when 3 | g the factors are the sparse cubes
+    E(q^t)^3 of `_jacobi_series` and the power is g/3. The built-in
+    recipes have e/g = 1, so base is a product of sparse series and only
+    the power, by repeated squaring, multiplies dense ones.
     """
     if bound < 1 or bound > 250_000:
         raise ValueError(f"bound {bound} must be in [1, 250000]")
-    if any(e <= 0 for _, e in exponent_pairs):
-        raise ValueError(f"eta exponents {exponent_pairs} must be positive")
+    for t, e in exponent_pairs:
+        if not (isinstance(t, int) and isinstance(e, int) and t > 0 and e > 0):
+            raise ValueError(
+                f"eta pair {(t, e)}: scale and exponent must be positive ints"
+            )
     lead = Fraction(sum(e * t for t, e in exponent_pairs), 24)
     if lead.denominator != 1 or lead <= 0:
         raise ValueError(f"leading q-power {lead} is not a positive integer")
     n_max = bound - 1
+    g = gcd(*(e for _, e in exponent_pairs))
+    factor, power = (_jacobi_series, g // 3) if g % 3 == 0 else (_euler_series, g)
     # lead > 0, so the product has a first factor
-    series = None
+    base = None
     for t, e in exponent_pairs:
-        power = _poly_pow_trunc(_euler_series(t, n_max), e, n_max)
-        series = power if series is None else _poly_mul_trunc(series, power, n_max)
-    coeffs = [0] * (bound + 1)
-    for n in range(1, bound + 1):
-        coeffs[n] = series[n - 1]
-    return coeffs
+        f = _poly_pow_trunc(factor(t, n_max), e // g, n_max)
+        base = f if base is None else _poly_mul_trunc(base, f, n_max)
+    return [0, *_poly_pow_trunc(base, power, n_max)]
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -84,6 +85,14 @@ def test_eta_series_rejects_nonpositive_exponent():
             modforms.eta_product_series(recipe, 40)
 
 
+@pytest.mark.parametrize("recipe", [((0, 5), (1, 24)), ((-1, 24), (2, 24))])
+def test_eta_series_rejects_nonpositive_scale(recipe):
+    # lead = sum(e t)/24 = 1 passes, so only the scale is at fault: a zero
+    # scale never ends the series loops and a negative one indexes off the end
+    with pytest.raises(ValueError, match=re.escape(f"eta pair {recipe[0]}")):
+        modforms.eta_product_series(recipe, 10)
+
+
 def test_eta_multiplication_order_determinism():
     a = modforms.eta_product_series(((1, 4), (5, 4)), 300)
     b = modforms.eta_product_series(((5, 4), (1, 4)), 300)
@@ -96,6 +105,53 @@ def _schoolbook_mul_trunc(a, b, n_max):
         for j, y in enumerate(b[: n_max + 1 - i]):
             out[i + j] += x * y
     return out
+
+
+@pytest.mark.parametrize("scale", [1, 2, 3, 11])
+def test_jacobi_series_is_the_euler_cube(scale):
+    n_max = 400
+    e = modforms._euler_series(scale, n_max)
+    cube = _schoolbook_mul_trunc(_schoolbook_mul_trunc(e, e, n_max), e, n_max)
+    assert modforms._jacobi_series(scale, n_max) == cube
+
+
+def _per_factor_reference(recipe, bound):
+    """a(0..bound) from one pentagonal power per pair, multiplied schoolbook."""
+    series = [1] + [0] * (bound - 1)
+    for t, e in recipe:
+        series = _schoolbook_mul_trunc(series, _pentagonal_eta_power(e, t, bound), bound - 1)
+    return [0, *series]
+
+
+@pytest.mark.parametrize(
+    "recipe",
+    [
+        ((1, 1), (23, 1)),
+        ((1, 3), (7, 3)),
+        ((1, 12), (2, 6)),
+        ((1, 12), (1, 12)),
+        ((1, 9), (3, 5)),
+        ((1, 3), (3, 3), (5, 3), (15, 3)),
+    ],
+)
+def test_eta_series_other_recipes_against_per_factor_reference(recipe):
+    # exponent gcds 1, 3, 6, 12, 1 and 3: the Euler and the Jacobi factors,
+    # with and without a common power, and e/g > 1
+    assert modforms.eta_product_series(recipe, 200) == _per_factor_reference(recipe, 200)
+
+
+def test_builtin_forms_take_fourteen_products(monkeypatch):
+    calls = []
+    mul = modforms._poly_mul_trunc
+
+    def counted(a, b, n_max):
+        calls.append(b is a)
+        return mul(a, b, n_max)
+
+    monkeypatch.setattr(modforms, "_poly_mul_trunc", counted)
+    for _, _, recipe in modforms._FORM_RECIPES.values():
+        modforms.eta_product_series(recipe, 100)
+    assert len(calls) == 14 and sum(calls) == 10
 
 
 def _width_bits(a, b, n_max):
@@ -117,6 +173,7 @@ def test_poly_mul_trunc_against_schoolbook():
             a[rng.randrange(la)] = rng.choice((2**bits, -(2**bits)))
         n_max = rng.randrange(0, la + lb + 5)
         assert modforms._poly_mul_trunc(a, b, n_max) == _schoolbook_mul_trunc(a, b, n_max)
+        assert modforms._poly_mul_trunc(a, a, n_max) == _schoolbook_mul_trunc(a, a, n_max)
 
 
 @pytest.mark.parametrize(
@@ -131,6 +188,8 @@ def test_poly_mul_trunc_against_schoolbook():
 @pytest.mark.parametrize("n_max", [0, 1, 3, 12])
 def test_poly_mul_trunc_zero_inputs(a, b, n_max):
     assert modforms._poly_mul_trunc(a, b, n_max) == [0] * (n_max + 1)
+    zero = a if not any(a) else b
+    assert modforms._poly_mul_trunc(zero, zero, n_max) == [0] * (n_max + 1)
 
 
 @pytest.mark.parametrize("width", [8, 16, 64])
@@ -150,6 +209,14 @@ def test_poly_mul_trunc_extreme_digits_at_byte_boundaries(width, offset, sign):
             expected = _schoolbook_mul_trunc(a, b, n_max)
             assert modforms._poly_mul_trunc(a, b, n_max) == expected
     assert modforms._poly_mul_trunc(a, [1] * k, 2 * k)[k - 1] == sign * m * k
+    # the square of [s] * k has the middle coefficient s^2 k at the bound
+    s = math.isqrt(((1 << (width + offset - 2)) - 1) // k)
+    sq = [sign * s] * k
+    for n_max in (2, k - 1, 2 * k - 2, 3 * k):
+        if n_max >= k - 1:
+            assert _width_bits(sq, sq, n_max) == width + offset
+        assert modforms._poly_mul_trunc(sq, sq, n_max) == _schoolbook_mul_trunc(sq, sq, n_max)
+    assert modforms._poly_mul_trunc(sq, sq, 2 * k)[k - 1] == s * s * k
 
 
 def test_eta_series_bound_range():
@@ -158,8 +225,25 @@ def test_eta_series_bound_range():
             modforms.eta_product_series(((1, 24),), bad)
 
 
-# sha256 of ",".join(a(0..5000)) for each built-in form, as built by the
-# shift-and-add packing that the byte-aligned one replaced
+# sha256 of ",".join(a(0..bound)) for each built-in form: at 5000 as built
+# by the shift-and-add packing that the byte-aligned one replaced, at 2000
+# and 3000 (the voronoi benchmark's bounds and the default) and at 20000 as
+# built one pentagonal power per pair, before the common power and Jacobi
+_FORMS_AT_2000_SHA256 = {
+    "Delta_1_12": "bac730c3e2d33d3be9611629f695d0eef130d84be3cb694441e0d9996301a2af",
+    "E8_2_8": "4dcc9a8763da3df8e451a29cf267f90dac5915bc807220cb152ccc060e5299a3",
+    "E6_3_6": "70b9ada663874e8669cece1181e10c78a3819eb895407a0ecc1f74ec5fe4ee85",
+    "E4_5_4": "f9bdb86bc60dc67069edf7cfd9077cd3b04ed665424e6921d4599f1e04b9c844",
+    "E2_11_2": "78a7cd97e14680b2ae3097ad2589fec2c73dcc6e17176aa18982b45efdd9a342",
+}
+_FORMS_AT_3000_SHA256 = {
+    "Delta_1_12": "b54c30105ee6b77857a4a02859a8b2a78af4ff7db60161f593a7c67c542e4a1a",
+    "E8_2_8": "43f7a4572429bc2840cae03d6b35e0b0ec533459d3deb1b751ede1643fbf1566",
+    "E6_3_6": "5e6afe0aa4d7a63a17dcfe7e07c5ad439e64f2488491e5068e947d520089cd35",
+    "E4_5_4": "ad84b2622648d126e9ac02858c826043cdb61a3d42e23d5377a6edeaab997c65",
+    "E2_11_2": "5ac36f540700bf701c5bce621cd8cb6fe467fe68165794ceb188c4b489faca37",
+}
+_E2_11_2_AT_20000_SHA256 = "d94ad2f9daabf6afaa502e8531371721d2ec559a15a037f2745a8d724dad3050"
 _FORMS_AT_5000_SHA256 = {
     "Delta_1_12": "0c5b8a7750230f6b0a06379d409eeed7dd42ffd5a62387c2656667d9d3317723",
     "E8_2_8": "99144c483473e9572d8642f19a17dc32eae29608780935dfee5163416aa07c8c",
@@ -172,9 +256,18 @@ _FORMS_AT_5000_SHA256 = {
 @pytest.mark.parametrize("form_id", modforms.BUILTIN_FORM_IDS)
 def test_builtin_coefficients_unchanged(form_id):
     recipe = modforms._FORM_RECIPES[form_id][2]
-    coeffs = modforms.eta_product_series(recipe, 5000)
-    digest = hashlib.sha256(",".join(map(str, coeffs)).encode()).hexdigest()
-    assert digest == _FORMS_AT_5000_SHA256[form_id]
+    for bound, pins in ((2000, _FORMS_AT_2000_SHA256), (3000, _FORMS_AT_3000_SHA256),
+                        (5000, _FORMS_AT_5000_SHA256)):
+        assert _sha256(modforms.eta_product_series(recipe, bound)) == pins[form_id], bound
+
+
+def test_level11_coefficients_unchanged_at_voronoi_bound():
+    coeffs = modforms.eta_product_series(modforms._FORM_RECIPES["E2_11_2"][2], 20000)
+    assert _sha256(coeffs) == _E2_11_2_AT_20000_SHA256
+
+
+def _sha256(coeffs):
+    return hashlib.sha256(",".join(map(str, coeffs)).encode()).hexdigest()
 
 
 def test_lambda_normalization(all_forms):
