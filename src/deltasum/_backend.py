@@ -15,6 +15,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .arith import factorize
+
 # Moduli whose unit tables are kept. verify-all sweeps one modulus at a time,
 # so a few entries give the hits; more would only raise the resident size.
 _TABLE_CACHE = 16
@@ -24,11 +26,15 @@ _TABLE_CACHE = 16
 def _units(c: int) -> tuple[np.ndarray, np.ndarray]:
     """(x, x^-1 mod c) for the x in [0, c) with gcd(x, c) = 1, read-only.
 
-    The inverse is x^(phi(c) - 1) mod c by repeated squaring; c <= 2^31 keeps
-    every product below 2^62.
+    The units are what is left of [0, c) once the multiples of each prime
+    factor of c are struck out (so c = 1 keeps 0).  The inverse is
+    x^(phi(c) - 1) mod c by repeated squaring; c <= 2^31 keeps every product
+    below 2^62.
     """
-    x = np.arange(c, dtype=np.int64)
-    x = x[np.gcd(x, c) == 1]
+    coprime = np.ones(c, dtype=bool)
+    for p, _ in factorize(c).factors:
+        coprime[::p] = False
+    x = np.flatnonzero(coprime).astype(np.int64, copy=False)
     inv = np.ones_like(x)
     base = x.copy()
     e = x.size - 1

@@ -357,6 +357,11 @@ def kloosterman_collapse(
 # ---------------------------------------------------------------------------
 
 
+# Bessel arguments per slab of the dual side's block: a slab and the kernel's
+# temporaries on it stay near 1 MB however many nodes a block has
+_SLAB = 1 << 14
+
+
 @dataclass(frozen=True)
 class VoronoiReport:
     eta: complex
@@ -384,13 +389,23 @@ def _dual_integrals(
     n from the first, a middle and the last block before truncation, and
     the peak-normalised bumps on [40, 200]: within 1e-12 absolute (worst
     measured 1.4e-13, E2_11_2 at q = 3).
+
+    Memory: one (ns, nodes) block of J values and one slab.  The block is
+    filled a slab of rows at a time, each slab's arguments at most _SLAB
+    elements (one row if a row is longer), so the arguments and the Bessel
+    kernel's temporaries never take the block's size; each h then takes
+    one product of the whole block with its weights.
     """
     lo, hi = hs[0].lo, hs[0].hi
     cycles = 2.0 * math.sqrt(float(ns[-1])) * (math.sqrt(hi) - math.sqrt(lo)) / root_scale
     us, half, weights = _sqrt_gauss_rule(lo, hi, cycles, 32)
     wts = 2.0 * half * us * weights
-    args = np.outer((4.0 * math.pi / root_scale) * np.sqrt(ns), us)
-    jvals = bessel_j_array(order, args.ravel()).reshape(args.shape)
+    scaled = (4.0 * math.pi / root_scale) * np.sqrt(ns)
+    jvals = np.empty((ns.size, us.size))
+    rows = max(1, _SLAB // us.size)
+    for r0 in range(0, ns.size, rows):
+        slab = np.multiply.outer(scaled[r0 : r0 + rows], us)
+        jvals[r0 : r0 + rows] = bessel_j_array(order, slab)
     ys = us * us
     return [jvals @ (wts * h.value_array(ys)) for h in hs]
 

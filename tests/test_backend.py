@@ -3,10 +3,11 @@
 import random
 from math import gcd
 
+import numpy as np
 from mpmath import mp
 
 import deltasum
-from deltasum._backend import kloosterman_raw
+from deltasum._backend import _units, kloosterman_raw
 
 # the accuracy contract stated in kloosterman_raw's docstring
 ABS_TOL = 1e-12
@@ -57,3 +58,16 @@ def test_kernel_edge_cases():
     assert kloosterman_raw(0, 0, 1) == (1.0, 0.0)
     # phi(12) = 4 units, every phase zero
     assert kloosterman_raw(0, 0, 12) == (4.0, 0.0)
+
+
+def test_unit_tables_are_the_gcd_filter():
+    """_units(c) strikes the multiples of c's primes out of [0, c): the same
+    int64 residues as the literal gcd filter, each with its inverse."""
+    for c in range(1, 3001):
+        x, inv = _units(c)
+        ref = np.arange(c, dtype=np.int64)
+        ref = ref[np.gcd(ref, c) == 1]
+        assert x.dtype == inv.dtype == np.int64, c
+        assert np.array_equal(x, ref), c
+        assert np.all(x * inv % c == 1 % c), c
+        assert not (x.flags.writeable or inv.flags.writeable), c

@@ -261,6 +261,59 @@ def test_hankel_regime_matches_mpmath():
             assert float(err.max()) <= 1e-15, (order, xs[err.argmax()])
 
 
+def _pinned_bessel_grid():
+    """0 to 150 in steps of 0.05, then 2000 log-spaced points up to 2e4,
+    and the doubles on each side of every seam: x = 12 and each point of
+    the Hankel-edge grid up to 2e4."""
+    edges = kernels._HANKEL_GRID[kernels._HANKEL_GRID <= 2e4]
+    seams = []
+    for x in [kernels.BESSEL_CROSSOVER, *edges.tolist()]:
+        seams += [np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)]
+    return np.concatenate([np.linspace(0.0, 150.0, 3001), np.geomspace(150.0, 2e4, 2000), seams])
+
+
+# sha256 of the bytes of bessel_j_array over _pinned_bessel_grid, for each
+# order 0-20 on the whole grid (every branch in one chunk) and then on the
+# part at or above the order's Hankel edge (a chunk the Hankel branch takes
+# whole), as recorded when the Hankel sums became one stacked Horner pass
+_BESSEL_SHA256 = "f98e5214b67d6f5dc2d34fa6191f8c0f2d3052fa2e6131faae27f3c1b7e426c7"
+
+
+def test_bessel_values_unchanged():
+    xs = _pinned_bessel_grid()
+    digest = hashlib.sha256()
+    for order in range(21):
+        digest.update(kernels.bessel_j_array(order, xs).tobytes())
+        above = xs[xs >= kernels._hankel_edge(order)]
+        digest.update(kernels.bessel_j_array(order, above).tobytes())
+    assert digest.hexdigest() == _BESSEL_SHA256
+
+
+def test_bessel_array_reads_its_input_only_and_ignores_chunking():
+    """bessel_j_array never writes into xs: perfbench's Bessel meter counts
+    the arguments above the crossover after the call, so an argument
+    overwritten with J values would read as the wrong branch.  And where
+    the chunks (or the caller's slabs) start does not change a value: the
+    ascending grid spans three chunks, the first mixed and the rest wholly
+    above every order's Hankel edge, and is also evaluated in pieces cut
+    off the chunk boundaries and as a 2-d array."""
+    n = 2 * kernels._CHUNK + 1001
+    xs = np.concatenate([np.linspace(0.0, 150.0, 4000), np.geomspace(150.0, 2e4, n - 4000)])
+    cuts = [0, 1, 1000, 5000, kernels._CHUNK + 7, 2 * kernels._CHUNK - 3, n]
+    for order in (0, 1, 4, 11, 20):
+        before = xs.copy()
+        whole = kernels.bessel_j_array(order, xs)
+        assert np.array_equal(xs, before)
+        pieces = np.concatenate([
+            kernels.bessel_j_array(order, xs[a:b]) for a, b in zip(cuts, cuts[1:])
+        ])
+        assert np.array_equal(pieces, whole)
+        block = xs[: 40 * 1408].reshape(40, 1408)
+        before = block.copy()
+        assert np.array_equal(kernels.bessel_j_array(order, block).ravel(), whole[: block.size])
+        assert np.array_equal(block, before)
+
+
 def test_bessel_rejects_bad_arguments():
     with pytest.raises(ValueError):
         kernels.bessel_j_array(21, np.array([1.0]))
