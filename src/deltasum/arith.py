@@ -33,12 +33,18 @@ class NonInvertible(ValueError):
     """Raised when a residue has no multiplicative inverse."""
 
 
-# Deterministic Miller-Rabin witnesses, valid for every n < 3.3e24.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin witnesses: the primes up to 41 leave no strong pseudoprime
+# below psi_13 = 3317044064679887385961981 (the primes up to 37 let
+# psi_12 = 318665857834031151167461 = 399165290221 * 798330580441 through)
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test."""
+    """Deterministic Miller-Rabin primality test for n < psi_13 =
+    3317044064679887385961981; ValueError at or above it."""
+    if n >= _MR_LIMIT:
+        raise ValueError(f"is_prime is deterministic only below {_MR_LIMIT}")
     if n < 2:
         return False
     for p in _MR_WITNESSES:

@@ -288,6 +288,10 @@ def _cmd_voronoi(p: dict) -> list[tuple]:
         raise ConfigError("q must be positive")
     if math.gcd(p["a"], p["q"]) != 1:
         raise ConfigError("a and q must be coprime")
+    if not 0.0 <= p["support_lo"] < p["support_hi"] < math.inf:
+        raise ConfigError("need 0 <= support_lo < support_hi < inf")
+    if not 0.0 < p["truncation_tol"] < math.inf:
+        raise ConfigError("truncation_tol must be positive and finite")
     bound = p["bound"] or pipeline.VORONOI_BOUNDS[p["form"]]
     form = modforms.builtin_form(p["form"], bound=bound)
     h = SmoothBump(p["support_lo"], p["support_hi"], sharpness=1.0, normalization="peak")

@@ -44,6 +44,7 @@ __all__ = [
     "SmoothBump",
     "Stratum",
     "bessel_j_array",
+    "bessel_j_sums",
     "calibrate",
     "delta_decompose",
     "delta_decompose_lowered",
@@ -232,7 +233,7 @@ def _adaptive_gk_1d(f, lo, hi, tol, max_depth=50):
 # x = 12; Miller's backward recurrence from there up to the order's Hankel
 # edge X_order; the order's own Hankel expansion from X_order on, with the
 # number of terms it takes at X_order and its phase from one tan(x/2) per
-# element
+# element; and weighted sums of J over one set of nodes at many scales
 # ---------------------------------------------------------------------------
 
 BESSEL_CROSSOVER = 12.0
@@ -459,6 +460,113 @@ def bessel_j_array(order: int, xs: np.ndarray) -> np.ndarray:
                 order, x, x <= BESSEL_CROSSOVER, _bessel_series_array, _bessel_asymptotic_array
             )
     return out.reshape(xs.shape)
+
+
+# Bessel arguments per slab of bessel_j_sums: a slab and the temporaries on it
+# stay near 1 MB however many nodes there are
+_SLAB = 1 << 14
+
+
+def bessel_j_sums(
+    order: int, scales: np.ndarray, us: np.ndarray, weights: np.ndarray
+) -> np.ndarray:
+    """sum_j w_j J_order(s u_j) for each s in the ascending positive array
+    scales and each row w of the 2-D array weights, over the ascending
+    positive nodes us: an array of shape (rows of weights, scales).
+
+    Rows with s u_0 >= X_order have every argument on the Hankel side, and
+    the order's expansion is summed by powers.  With (c, s') from
+    _HANKEL_PHASE, p_k and q_k the two rows of _hankel_terms read from the
+    lowest power, J = (A cos x + B sin x) / sqrt(pi x) where
+    A = sum_m alpha_m x^-m and B = sum_m beta_m x^-m, alpha_2k = c p_k,
+    alpha_(2k+1) = s' q_k, beta_2k = s' p_k and beta_(2k+1) = -c q_k.  As
+    x = s u_j,
+
+        sum_j w_j J(s u_j) = (pi s)^(-1/2) sum_(m < M) s^-m (C V^c_m + S V^s_m),
+
+    with C, S the cosines and sines of s u_j and V^c_m[j] =
+    alpha_m w_j u_j^(-m-1/2) (V^s_m with beta_m).  M is one more than the
+    stop rule's count at the smallest such argument, at most the edge's own
+    count: 6 to 15 terms from x = 100 on.  Each slab of k rows takes one
+    tan of s u / 2 (x / 2 exact), cos and sin as (1 - t^2, 2 t) / (1 + t^2)
+    in one (2 nodes, k) buffer, cosines over sines, one product of each
+    weight row's (M, 2 nodes) matrix with that buffer, and Horner in 1 / s.
+
+    The rows below the edge, a prefix, take bessel_j_array on their slab
+    and one product per weight row.  A value depends on its own row of
+    weights alone, never on the other rows.
+
+    Memory: one slab of at most _SLAB arguments (one row if a row is
+    longer), its cos/sin buffer, and the (M, 2 nodes) matrix of each weight
+    row; never a (scales, nodes) block.
+
+    Contract, against one bessel_j_array matrix times the weights: within
+    1e-16 sum_j |w_j| of that product on seeded scales straddling X_order
+    for every order (2.6e-17 measured), and within 2e-15 absolute on the
+    Voronoi dual side's blocks (4.4e-16 measured).
+    """
+    scales = np.asarray(scales, dtype=float)
+    us = np.asarray(us, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    out = np.empty((weights.shape[0], scales.size))
+    nodes = us.size
+    rows = max(1, _SLAB // nodes)
+    edge = _hankel_edge(order)
+    below = int(np.count_nonzero(scales * us[0] < edge))
+    for r0 in range(0, below, rows):
+        r1 = min(r0 + rows, below)
+        jvals = bessel_j_array(order, np.multiply.outer(scales[r0:r1], us))
+        for w, row in zip(weights, out):
+            row[r0:r1] = jvals @ w
+    if below == scales.size:
+        return out
+
+    p, q = _hankel_terms(order)[1][:, ::-1]
+    terms = np.ravel([p, q], order="F")  # p_0, q_0, p_1, q_1, ...
+    count = min(1 + _hankel_stop(order, float(scales[below] * us[0]))[0], terms.size)
+    c, s = _HANKEL_PHASE[order % 4]
+    even = np.arange(count) % 2 == 0
+    alpha = np.where(even, c, s) * terms[:count]
+    beta = np.where(even, s, -c) * terms[:count]
+    powers = np.empty((count, nodes))  # u^(-m-1/2)
+    powers[0] = 1.0 / np.sqrt(us)
+    inv_u = 1.0 / us
+    for m in range(1, count):
+        np.multiply(powers[m - 1], inv_u, out=powers[m])
+    mats = []
+    for w in weights:
+        wp = w * powers
+        mats.append(np.concatenate([alpha[:, None] * wp, beta[:, None] * wp], axis=1))
+
+    half_us = 0.5 * us
+    buf = np.empty(2 * nodes * rows)
+    denom = np.empty(nodes * rows)
+    for r0 in range(below, scales.size, rows):
+        r1 = min(r0 + rows, scales.size)
+        k = r1 - r0
+        # (2 nodes, k) rather than (k, 2 nodes): each half is contiguous,
+        # which the ufuncs below run on at about 60% of the time
+        slab = buf[: 2 * nodes * k].reshape(2 * nodes, k)
+        cos, sin = slab[:nodes], slab[nodes:]
+        den = denom[: nodes * k].reshape(nodes, k)
+        np.multiply.outer(half_us, scales[r0:r1], out=sin)
+        np.tan(sin, out=sin)
+        np.multiply(sin, sin, out=cos)
+        np.add(cos, 1.0, out=den)
+        np.subtract(1.0, cos, out=cos)
+        cos /= den
+        sin *= 2.0
+        sin /= den
+        inv_s = 1.0 / scales[r0:r1]
+        root = np.sqrt(math.pi * scales[r0:r1])
+        for mat, row in zip(mats, out):
+            by_power = mat @ slab  # row m: the m-th term summed over the nodes
+            acc = by_power[-1].copy()
+            for m in range(count - 2, -1, -1):
+                acc *= inv_s
+                acc += by_power[m]
+            row[r0:r1] = acc / root
+    return out
 
 
 # ---------------------------------------------------------------------------

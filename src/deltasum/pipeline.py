@@ -28,7 +28,7 @@ from .kernels import (
     _coprime_residues,
     _sqrt_gauss_rule,
     _weight_columns,
-    bessel_j_array,
+    bessel_j_sums,
 )
 from .modforms import InsufficientCoefficients, Newform
 
@@ -143,12 +143,25 @@ class ShiftedSumSpec:
         return q_cap(self.x_scale, self.y_scale, self.level)
 
 
-def _support(h: SmoothBump, scale: float) -> np.ndarray:
-    """The integers n >= 1 strictly inside h's support scaled by scale,
-    (lo scale, hi scale): every n at which h(n / scale) can be nonzero."""
+def _support_ends(h: SmoothBump, scale: float) -> tuple[int, int]:
+    """The least and the greatest integer n >= 1 strictly inside h's support
+    scaled by scale, (lo scale, hi scale): every n at which h(n / scale) can
+    be nonzero lies between them (none when the first exceeds the second)."""
     lo = int(math.floor(h.lo * scale)) + 1
     hi = int(math.ceil(h.hi * scale)) - 1
-    return np.arange(max(1, lo), hi + 1)
+    return max(1, lo), hi
+
+
+def _support(h: SmoothBump, scale: float, f: Newform) -> np.ndarray:
+    """The integers of _support_ends(h, scale) as an array.  Raises
+    InsufficientCoefficients, before anything is allocated, when they pass
+    f's coefficient bound, as f.lam would on the array."""
+    lo, hi = _support_ends(h, scale)
+    if lo <= hi and hi > f.bound:
+        raise InsufficientCoefficients(
+            f"{f.form_id}: lam({max(lo, f.bound + 1)}) beyond bound {f.bound}"
+        )
+    return np.arange(lo, hi + 1)
 
 
 @dataclass(frozen=True)
@@ -176,10 +189,11 @@ class SumReport:
 def shifted_sum_direct(spec: ShiftedSumSpec) -> float:
     """Reference evaluation: lam1(n) lam2(m) / sqrt(n m) F(n/X, m/Y) over
     the n-range, with m = n + rM."""
-    ns = _support(spec.window.fx, spec.x_scale)
-    lam1 = spec.f1.lam(ns)  # raises unless every n of the support has a(n)
+    ns = _support(spec.window.fx, spec.x_scale, spec.f1)
+    lam1 = spec.f1.lam(ns)
     ms = ns + spec.r * spec.shift_modulus
-    keep = np.isin(ms, _support(spec.window.fy, spec.y_scale))
+    m_lo, m_hi = _support_ends(spec.window.fy, spec.y_scale)
+    keep = (ms >= m_lo) & (ms <= m_hi)
     ns, ms = ns[keep], ms[keep]
     terms = (
         lam1[keep]
@@ -357,11 +371,6 @@ def kloosterman_collapse(
 # ---------------------------------------------------------------------------
 
 
-# Bessel arguments per slab of the dual side's block: a slab and the kernel's
-# temporaries on it stay near 1 MB however many nodes a block has
-_SLAB = 1 << 14
-
-
 @dataclass(frozen=True)
 class VoronoiReport:
     eta: complex
@@ -375,7 +384,7 @@ def _dual_integrals(
 ) -> list[np.ndarray]:
     """I_h(n) = int h(y) J_order(4 pi sqrt(n y) / root_scale) dy for each n
     in the ascending array ns and each h in hs; every h must have the
-    support [lo, hi] of hs[0], and one Bessel matrix serves them all.
+    support [lo, hi] of hs[0], and one quadrature rule serves them all.
 
     The phase is linear in u = sqrt(y), so the rule is Gauss-Legendre in u
     (kernels._sqrt_gauss_rule): 32 points on each of max(6, ceil(cycles /
@@ -384,30 +393,31 @@ def _dual_integrals(
     cycles; the weight is 2 u du.  Below 6 panels the bump's edges, not the
     oscillation, set the error (4 panels leave 1.1e-12 where 6 leave 1e-14).
 
+    The sums over the nodes are one kernels.bessel_j_sums call with scales
+    s = 4 pi sqrt(n) / root_scale and one row of weights 2 half u w h(u^2)
+    per h.  Above the order's Hankel edge it sums the expansion by powers,
+    (pi s)^(-1/2) sum_(m < M) s^-m (C V^c_m + S V^s_m), with M the stop
+    rule's count at the block's smallest argument (6 to 15 terms from
+    x = 100 on); below it, bessel_j_array on a slab.
+
     Contract, tested against scipy's J on a Gauss rule uniform in y with at
     least one panel per cycle, for the five built-in forms at q in {1, 3},
     n from the first, a middle and the last block before truncation, and
     the peak-normalised bumps on [40, 200]: within 1e-12 absolute (worst
-    measured 1.4e-13, E2_11_2 at q = 3).
+    measured 1.4e-13, E2_11_2 at q = 3); and within 2e-15 absolute of one
+    bessel_j_array matrix over the block times the same weights.
 
-    Memory: one (ns, nodes) block of J values and one slab.  The block is
-    filled a slab of rows at a time, each slab's arguments at most _SLAB
-    elements (one row if a row is longer), so the arguments and the Bessel
-    kernel's temporaries never take the block's size; each h then takes
-    one product of the whole block with its weights.
+    Memory: one slab of at most kernels._SLAB Bessel arguments and the
+    kernel's (M, 2 nodes) matrix per h; no (ns, nodes) block.
     """
     lo, hi = hs[0].lo, hs[0].hi
     cycles = 2.0 * math.sqrt(float(ns[-1])) * (math.sqrt(hi) - math.sqrt(lo)) / root_scale
     us, half, weights = _sqrt_gauss_rule(lo, hi, cycles, 32)
     wts = 2.0 * half * us * weights
     scaled = (4.0 * math.pi / root_scale) * np.sqrt(ns)
-    jvals = np.empty((ns.size, us.size))
-    rows = max(1, _SLAB // us.size)
-    for r0 in range(0, ns.size, rows):
-        slab = np.multiply.outer(scaled[r0 : r0 + rows], us)
-        jvals[r0 : r0 + rows] = bessel_j_array(order, slab)
     ys = us * us
-    return [jvals @ (wts * h.value_array(ys)) for h in hs]
+    weighted = np.array([wts * h.value_array(ys) for h in hs])
+    return list(bessel_j_sums(order, scaled, us, weighted))
 
 
 def _dual_side(
@@ -417,7 +427,7 @@ def _dual_side(
     h in hs, with I_h(n) the Bessel-kernel integral of h, and the number of
     dual terms each used.  The sum for h is truncated once |I_h| stays below
     truncation_tol for two blocks.  Every h in hs must have the support of
-    hs[0]: each block's quadrature rule and Bessel matrix are built once, on
+    hs[0]: each block's quadrature rule and cos/sin slabs are built once, on
     that support, for all of them (see _dual_integrals)."""
     p2 = f.level // gcd(f.level, q)
     root_scale = q * math.sqrt(p2)
@@ -458,7 +468,7 @@ def _dual_side(
 
 
 def _twisted_partial_sum(f: Newform, a: int, q: int, h: SmoothBump) -> complex:
-    ns = _support(h, 1)
+    ns = _support(h, 1, f)
     terms = f.lam(ns) * h.value_array(ns)
     phases = np.array(_root_table(q))[(a * ns) % q]
     return complex(math.fsum(terms * phases.real), math.fsum(terms * phases.imag))
@@ -524,7 +534,7 @@ def verify_voronoi(
 
 
 def _lam_window(f: Newform, x_scale: float, h: SmoothBump) -> tuple[np.ndarray, np.ndarray]:
-    ns = _support(h, x_scale)
+    ns = _support(h, x_scale, f)
     return ns, f.lam(ns) / np.sqrt(ns) * h.value_array(ns / x_scale)
 
 

@@ -122,3 +122,15 @@ def test_factorize_rho_path(factors):
     fac = arith.factorize(n)
     fac.validate()
     assert fac.factors == factors
+
+
+def test_is_prime_at_the_witness_bound():
+    # psi_12 = 399165290221 * 798330580441 is a strong pseudoprime to every
+    # prime base up to 37; the witnesses hold only below psi_13
+    psi12 = 318665857834031151167461
+    assert psi12 == 399165290221 * 798330580441
+    assert not arith.is_prime(psi12)
+    assert arith.is_prime(2**61 - 1)
+    assert arith.is_prime(41) and not arith.is_prime(41 * 43)
+    with pytest.raises(ValueError):
+        arith.is_prime(3317044064679887385961981)

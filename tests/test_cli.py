@@ -87,6 +87,29 @@ def test_delta_rejects_a_q_that_is_not_finite_above_one(capsys, q):
     assert capsys.readouterr().err == "error: Q must be finite and exceed 1\n"
 
 
+@pytest.mark.parametrize(
+    "flag,value,message",
+    [
+        ("truncation_tol", "nan", "truncation_tol must be positive and finite"),
+        ("truncation_tol", "0", "truncation_tol must be positive and finite"),
+        ("truncation_tol", "inf", "truncation_tol must be positive and finite"),
+        ("support_lo", "-5", "need 0 <= support_lo < support_hi < inf"),
+        ("support_lo", "nan", "need 0 <= support_lo < support_hi < inf"),
+        ("support_lo", "300", "need 0 <= support_lo < support_hi < inf"),
+        ("support_hi", "inf", "need 0 <= support_lo < support_hi < inf"),
+    ],
+)
+def test_voronoi_rejects_bad_windows_and_tolerances(capsys, flag, value, message):
+    """A tolerance that is not positive and finite, or a window that is not
+    0 <= lo < hi < inf, exits 2 with one line before any coefficient is
+    read: a zero or NaN tolerance used to walk the whole coefficient bound,
+    and a negative lo failed inside the quadrature as a math domain error."""
+    assert cli.main(["voronoi", "--form", "E2_11_2", f"--{flag}", value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_voronoi_nan_phase_is_inconclusive(monkeypatch, capsys):
     """A dual side that comes back NaN exits 3 with one line and no table,
     where the phase used to be written as nan with status 0."""
