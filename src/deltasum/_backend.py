@@ -28,8 +28,8 @@ def _units(c: int) -> tuple[np.ndarray, np.ndarray]:
 
     The units are what is left of [0, c) once the multiples of each prime
     factor of c are struck out (so c = 1 keeps 0).  The inverse is
-    x^(phi(c) - 1) mod c by repeated squaring; c <= 2^31 keeps every product
-    below 2^62.
+    x^(phi(c) - 1) mod c by repeated squaring; c < arith.LIMIT = 2^31 keeps
+    every product below 2^62.
     """
     coprime = np.ones(c, dtype=bool)
     for p, _ in factorize(c).factors:
@@ -51,7 +51,7 @@ def _units(c: int) -> tuple[np.ndarray, np.ndarray]:
 def kloosterman_raw(a: int, b: int, c: int) -> tuple[float, float]:
     """Sum of e((a*x + b*x^-1)/c) over x mod c with gcd(x, c) = 1.
 
-    Requires 0 <= a < c, 0 <= b < c and c <= 2^31. Returns (real, imag).
+    Requires 0 <= a, b < c < arith.LIMIT = 2^31. Returns (real, imag).
     Time and memory are O(c): about 60 bytes per residue at peak.
 
     Accuracy: each part is within 1e-12 absolute of the exact value for

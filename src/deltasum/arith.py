@@ -2,8 +2,9 @@
 
 Factorization, modular inverses, CRT-free divisor machinery, and the
 multiplicative functions mu, phi, tau and phi* (the count of primitive
-characters). Everything here is a pure function of its inputs;
-MultiplicativeTable is immutable after construction.
+characters), on the one integer domain 1 <= n < LIMIT = 2^31. Everything
+here is a pure function of its inputs; MultiplicativeTable is immutable
+after construction.
 """
 
 from __future__ import annotations
@@ -11,9 +12,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
+from itertools import compress
 
 __all__ = [
     "Factorization",
+    "LIMIT",
     "MultiplicativeTable",
     "NonInvertible",
     "divisors",
@@ -27,6 +30,11 @@ __all__ = [
     "phi_star",
     "tau",
 ]
+
+
+# The one integer domain of the library: every modulus, level and argument
+# that is factored or tabulated is a positive integer below this.
+LIMIT = 1 << 31
 
 
 class NonInvertible(ValueError):
@@ -87,48 +95,26 @@ class Factorization:
             raise ValueError(f"factor product {prod} != {self.n}")
 
 
-def _pollard_brent(n: int) -> int:
-    """Brent-cycle Pollard rho; deterministic parameter schedule."""
-    if n % 2 == 0:
-        return 2
-    for seed in range(1, 64):
-        y, c, m = seed, seed, 128
-        g = r = q = 1
-        x = ys = y
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(m, r - k)):
-                    y = (y * y + c) % n
-                    q = q * (x - y) % n
-                g = math.gcd(q, n)
-                k += m
-            r *= 2
-        if g == n:
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = math.gcd(x - ys, n)
-        if g != n:
-            return g
-    raise ArithmeticError(f"rho failed to split {n}")
+def _primes_below(n: int) -> tuple[int, ...]:
+    """The primes below n, by the sieve of Eratosthenes."""
+    sieve = bytearray([1]) * n
+    sieve[:2] = b"\x00\x00"
+    for p in range(2, math.isqrt(n - 1) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, n, p)))
+    return tuple(compress(range(n), sieve))
 
 
-# factorize's trial divisors, the primes below 2^10
-_TRIAL_PRIMES = tuple(p for p in range(1 << 10) if is_prime(p))
+# factorize's trial divisors: the 4792 primes up to isqrt(LIMIT) = 46340
+_TRIAL_PRIMES = _primes_below(math.isqrt(LIMIT) + 1)
 
 
 def factorize(n: int) -> Factorization:
-    """Factor 1 <= n < 2^63 by trial division plus a rho fallback."""
-    if n < 1:
-        raise ValueError("factorize requires n >= 1")
-    if n >= 1 << 63:
-        raise ValueError("factorize limited to n < 2^63")
-    counts: dict[int, int] = {}
+    """Factor 1 <= n < LIMIT = 2^31 by trial division by the primes up to
+    46340; what is left is 1 or a prime.  ValueError outside that domain."""
+    if not 1 <= n < LIMIT:
+        raise ValueError(f"factorize requires 1 <= n < 2^31, got {n}")
+    factors = []
     m = n
     for p in _TRIAL_PRIMES:
         if p * p > m:
@@ -138,23 +124,11 @@ def factorize(n: int) -> Factorization:
             while m % p == 0:
                 m //= p
                 e += 1
-            counts[p] = e
-    if 1 < m < 1 << 20:
-        # no prime below 2^10 divides m, so it has no room for two prime factors
-        counts[m] = 1
-        m = 1
-    stack = [m] if m > 1 else []
-    while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
-        if is_prime(m):
-            counts[m] = counts.get(m, 0) + 1
-            continue
-        g = _pollard_brent(m)
-        stack.append(g)
-        stack.append(m // g)
-    return Factorization(n, tuple(sorted(counts.items())))
+            factors.append((p, e))
+    if m > 1:
+        # no prime up to isqrt(m) divides m
+        factors.append((m, 1))
+    return Factorization(n, tuple(factors))
 
 
 def divisors(n: int | Factorization) -> list[int]:

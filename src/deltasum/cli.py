@@ -171,6 +171,37 @@ def _resolve_params(command: Command, args: argparse.Namespace) -> dict[str, obj
     return values
 
 
+# Resource caps: each integer that sizes a table is checked against one where
+# it enters (times on 2 vCPUs, fresh process, output discarded).
+# the characters table has phi(M)^2 rows at about 8 us and 270 bytes each:
+# M = 1021, the worst modulus below this cap, took 8.7 s and 283 MiB
+_CHARACTER_MODULUS = 1 << 10
+# the kernel holds about 60 bytes per residue: c = 2^20 - 3 took 0.8 s
+# and 92 MiB, c = 2^22 - 3 took 2.7 s and 272 MiB
+_KLOOSTERMAN_MODULUS = 1 << 20
+# a sweep writes cmax * samples rows at about 60 us each plus O(c):
+# cmax = 8192 with 8 samples, both caps reached, took 13.4 s and 69 MiB
+_SWEEP_MODULUS = 1 << 13
+_SWEEP_ROWS = 1 << 16
+# the decompositions fill one float per (n, q) pair: (2 nmax + 1) q_max(nmax)
+# cells, 128 MiB at this limit
+_DELTA_CELLS = 1 << 24
+# the q-loop costs about 0.1 ms a row: at this limit the slowest accepted
+# table (Q = 32768, nmax = 255, both limits reached) took 8.3 s
+_DELTA_ROWS = 1 << 15
+# the twist reads a table of q roots of unity: q = 65521 ran into E2_11_2's
+# coefficient bound after 1.1 s and 40 MiB, q = 2^20 - 3 after 6.9 s, 92 MiB
+_VORONOI_MODULUS = 1 << 16
+# the moment walks the primitive characters, about 1.2 ms per unit of M at
+# X = 1000: M = 8191 took 9.5 s and 37 MiB
+_MOMENT_MODULUS = 1 << 13
+
+
+def _check_range(name: str, value: int, cap: int) -> None:
+    if not 1 <= value <= cap:
+        raise ConfigError(f"{name} {value} must be in [1, {cap}]")
+
+
 # ---------------------------------------------------------------------------
 # command implementations
 # ---------------------------------------------------------------------------
@@ -186,8 +217,7 @@ def _resolve_params(command: Command, args: argparse.Namespace) -> dict[str, obj
 )
 def _cmd_characters(p: dict) -> list[tuple]:
     modulus = p["M"]
-    if modulus < 1:
-        raise ConfigError("M must be a positive integer")
+    _check_range("M", modulus, _CHARACTER_MODULUS)
     rows = []
     for idx, chi in enumerate(enumerate_characters(modulus)):
         for residue, num, den in chi.value_rows():
@@ -211,13 +241,12 @@ def _cmd_kloosterman(p: dict) -> list[tuple]:
     if p["c"] is not None:
         if p["a"] is None or p["b"] is None:
             raise ConfigError("single-sum mode needs a, b and c")
-        if p["c"] < 1:
-            raise ConfigError("c must be positive")
+        _check_range("c", p["c"], _KLOOSTERMAN_MODULUS)
         v = kloosterman(p["a"], p["b"], p["c"])
         rows.append((v.a, v.b, v.c, v.value, v.weil_bound, abs(v.value) / v.weil_bound))
     elif p["cmax"] is not None:
-        if p["cmax"] < 1 or p["samples"] < 1:
-            raise ConfigError("cmax and samples must be positive")
+        _check_range("cmax", p["cmax"], _SWEEP_MODULUS)
+        _check_range("cmax * samples", p["cmax"] * p["samples"], _SWEEP_ROWS)
         rng = random.Random(p["seed"])
         for c in range(1, p["cmax"] + 1):
             for _ in range(p["samples"]):
@@ -230,14 +259,6 @@ def _cmd_kloosterman(p: dict) -> list[tuple]:
     else:
         raise ConfigError("provide either c (single sum) or cmax (sweep)")
     return rows
-
-
-# the decompositions fill one float per (n, q) pair: (2 nmax + 1) q_max(nmax)
-# cells, 128 MiB at this limit
-_DELTA_CELLS = 1 << 24
-# the q-loop costs about 0.1 ms a row: at this limit the slowest accepted
-# table (Q = 32768, nmax = 255, both limits reached) took 8.3 s on 2 vCPUs
-_DELTA_ROWS = 1 << 15
 
 
 @_command(
@@ -284,8 +305,7 @@ def _cmd_delta(p: dict) -> list[tuple]:
     Param("bound", int, 0, "coefficient bound (0 = per-form default)"),
 )
 def _cmd_voronoi(p: dict) -> list[tuple]:
-    if p["q"] < 1:
-        raise ConfigError("q must be positive")
+    _check_range("q", p["q"], _VORONOI_MODULUS)
     if math.gcd(p["a"], p["q"]) != 1:
         raise ConfigError("a and q must be coprime")
     if not 0.0 <= p["support_lo"] < p["support_hi"] < math.inf:
@@ -344,6 +364,7 @@ def _cmd_shifted(p: dict) -> list[tuple]:
     Param("X", float, None, "partial-sum scale", required=True),
 )
 def _cmd_moment(p: dict) -> list[tuple]:
+    _check_range("M", p["M"], _MOMENT_MODULUS)
     form = modforms.builtin_form(p["form"])
     h = pipeline.default_moment_window()
     # the opening's lhs is the second moment itself

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from ._backend import kloosterman_raw
-from .arith import factorize, gcd3, inverse_mod, tau
+from .arith import LIMIT, factorize, gcd3, inverse_mod, tau
 
 __all__ = [
     "KloostermanValue",
@@ -30,8 +30,6 @@ __all__ = [
     "recombine_residues",
     "twisted_multiplicativity",
 ]
-
-_MAX_MODULUS = 1 << 31  # keeps the kernel's int64 products below 2^62
 
 
 @dataclass(frozen=True)
@@ -74,10 +72,8 @@ def kloosterman(a: int, b: int, c: int, use_crt: bool = False) -> KloostermanVal
     use_crt enables the prime-power factorization fast path; the default is
     the direct brute-force evaluation it is verified against.
     """
-    if c < 1:
-        raise ValueError("modulus must be positive")
-    if c > _MAX_MODULUS:
-        raise ValueError(f"modulus {c} exceeds supported range {_MAX_MODULUS}")
+    if not 1 <= c < LIMIT:
+        raise ValueError(f"modulus {c} must be in [1, 2^31)")
     if use_crt and len(factorize(c).factors) > 1:
         re, im = _crt_value(a, b, c)
     else:

@@ -30,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import is_prime
+from .arith import LIMIT, is_prime
 # nothing here reads _unit_roots: perfbench reports its cache hits by this name
 from .characters import _root_table as _unit_roots
 from .expsums import coprime_residue_sum
@@ -92,8 +92,8 @@ class SmoothBump:
     def __post_init__(self):
         if not self.lo < self.hi:
             raise ValueError("need lo < hi")
-        if self.sharpness <= 0:
-            raise ValueError("sharpness must be positive")
+        if not 0 < self.sharpness < math.inf:
+            raise ValueError(f"sharpness {self.sharpness} must be positive and finite")
         if self.normalization not in ("integral", "peak"):
             raise ValueError("normalization must be 'integral' or 'peak'")
         # at scale 1.0 value_array is the unscaled template (1.0 * v == v)
@@ -434,8 +434,8 @@ def bessel_j_array(order: int, xs: np.ndarray) -> np.ndarray:
     truncated Hankel sum ends on a term below 1e-17 (23.8 for orders up to
     9, rising to 113.1 at order 20), and the sum keeps that number of terms
     above it; Miller starts from the first even N at least 48 above
-    X_order, and at least 64.  A chunk of _CHUNK arguments that lies wholly
-    at or above X_order goes straight to the Hankel expansion.
+    X_order, and at least 64.  Each branch takes a chunk of _CHUNK arguments
+    whole when every argument falls in it, with no masked copy.
 
     Accuracy contract, tested against mpmath for every order: absolute
     error at most 5e-12 on (0, 2e4], at most 1e-15 on [X_order, 2e4], and
@@ -450,15 +450,11 @@ def bessel_j_array(order: int, xs: np.ndarray) -> np.ndarray:
         raise ValueError("x must be nonnegative")
     flat = xs.ravel()
     out = np.empty_like(flat)
-    edge = _hankel_edge(order)
     for start in range(0, flat.size, _CHUNK):
         x = flat[start : start + _CHUNK]
-        if x.min() >= edge:
-            out[start : start + _CHUNK] = _hankel(order, x)
-        else:
-            out[start : start + _CHUNK] = _by_mask(
-                order, x, x <= BESSEL_CROSSOVER, _bessel_series_array, _bessel_asymptotic_array
-            )
+        out[start : start + _CHUNK] = _by_mask(
+            order, x, x <= BESSEL_CROSSOVER, _bessel_series_array, _bessel_asymptotic_array
+        )
     return out.reshape(xs.shape)
 
 
@@ -675,8 +671,8 @@ class DeltaScheme:
     def __post_init__(self):
         if self.q_scale <= 1:
             raise ValueError("Q must exceed 1")
-        if self.level != 1 and not is_prime(self.level):
-            raise ValueError("level must be 1 or a prime")
+        if self.level != 1 and not (self.level < LIMIT and is_prime(self.level)):
+            raise ValueError(f"level P {self.level} must be 1 or a prime below 2^31")
         object.__setattr__(self, "raw_zero", calibrate(self))
 
     @property

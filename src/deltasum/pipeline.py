@@ -17,7 +17,7 @@ from math import gcd
 
 import numpy as np
 
-from .arith import inverse_mod, is_squarefree
+from .arith import LIMIT, inverse_mod, is_squarefree
 from .characters import _root_table, enumerate_characters
 from .expsums import coprime_residue_sum, cusp_pair_sum, principal_cusp_sum, ramanujan_sum
 from .kernels import (
@@ -127,12 +127,14 @@ class ShiftedSumSpec:
             raise ValueError("r must be nonzero")
         if gcd(self.r, self.level) != 1:
             raise ValueError("r must be coprime to the level")
-        if self.shift_modulus < 1 or not is_squarefree(self.shift_modulus):
-            raise ValueError("shift modulus must be positive and squarefree")
-        if gcd(self.shift_modulus, self.level) != 1:
+        m = self.shift_modulus
+        if not 1 <= m < LIMIT or not is_squarefree(m):
+            raise ValueError(f"shift modulus M {m} must be squarefree and in [1, 2^31)")
+        if gcd(m, self.level) != 1:
             raise ValueError("shift modulus must be coprime to the level")
-        if self.x_scale < 1 or self.y_scale < 1:
-            raise ValueError("scales must be >= 1")
+        x, y = self.x_scale, self.y_scale
+        if not (1 <= x < math.inf and 1 <= y < math.inf):  # a NaN fails too
+            raise ValueError(f"scales X {x} and Y {y} must be finite and >= 1")
 
     @property
     def level(self) -> int:
@@ -504,6 +506,8 @@ def verify_voronoi(
     """
     if gcd(a, q) != 1:
         raise ValueError("a and q must be coprime")
+    # the phases read a mod q; a larger a would wrap in numpy's int64 products
+    a %= q
     h2 = SmoothBump(h.lo, h.hi, sharpness=h.sharpness * 1.7, normalization="peak")
     lhs = _twisted_partial_sum(f, a, q, h)
     (dual, used), (dual2, used2) = _dual_side(f, a, q, (h, h2), truncation_tol)
@@ -538,7 +542,9 @@ def _lam_window(f: Newform, x_scale: float, h: SmoothBump) -> tuple[np.ndarray, 
     return ns, f.lam(ns) / np.sqrt(ns) * h.value_array(ns / x_scale)
 
 
-def _check_moment_args(f: Newform, modulus: int) -> None:
+def _check_moment_args(f: Newform, modulus: int, x_scale: float) -> None:
+    if not math.isfinite(x_scale):
+        raise ValueError(f"scale X {x_scale} must be finite")
     if gcd(modulus, f.level) != 1:
         raise ValueError("modulus must be coprime to the level")
     if not is_squarefree(modulus):
@@ -548,7 +554,7 @@ def _check_moment_args(f: Newform, modulus: int) -> None:
 def second_moment(f: Newform, modulus: int, x_scale: float, h: SmoothBump) -> float:
     """(1 / phi*(M)) sum over primitive chi of |sum lam(n) chi(n) n^-1/2
     h(n/X)|^2, by direct enumeration."""
-    _check_moment_args(f, modulus)
+    _check_moment_args(f, modulus, x_scale)
     ns, vals = _lam_window(f, x_scale, h)
     chars = [c for c in enumerate_characters(modulus) if c.is_primitive]
     if not chars:
@@ -582,7 +588,7 @@ def gauss_square_opening(
     rhs = (1/(M phi*(M))) sum over primitive chi of
     |sum_b conj(chi(b)) T_b|^2. An exact identity, so lhs = rhs up to
     roundoff."""
-    _check_moment_args(f, modulus)
+    _check_moment_args(f, modulus, x_scale)
     lhs = second_moment(f, modulus, x_scale, h)
     t_b, _ = residue_class_average(f, modulus, x_scale, h)
     residues = np.arange(modulus)
@@ -609,7 +615,7 @@ def diagonal_split(
 ) -> DiagonalSplit:
     """Split the congruence sum sum_{m = n mod M} into the diagonal m = n
     and the off-diagonal shifts m = n + r M, 0 < |r| <= ceil(5X/(2M))."""
-    _check_moment_args(f, modulus)
+    _check_moment_args(f, modulus, x_scale)
     _, vals = _lam_window(f, x_scale, h)
     r_bound = int(math.ceil(5.0 * x_scale / (2.0 * modulus)))
     lags = [vals[: -r * modulus] * vals[r * modulus :] for r in range(1, r_bound + 1)]

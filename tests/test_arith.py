@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from deltasum import arith, verify
 
@@ -110,18 +112,44 @@ def test_table_matches_point_functions():
         ((1031, 2),),
         ((1031, 3),),
         ((1031, 1), (1033, 1)),
-        ((999983, 2),),
-        ((999983, 1), (1000003, 1)),
-        ((2**31 - 1, 2),),
     ],
 )
-def test_factorize_rho_path(factors):
-    # every prime factor lies above the trial-division cap, so Pollard-Brent
-    # does all the splitting, perfect powers included
+def test_factorize_trial_division(factors):
+    # prime factors above 2^10, perfect powers included
     n = math.prod(p**e for p, e in factors)
     fac = arith.factorize(n)
     fac.validate()
     assert fac.factors == factors
+
+
+def _naive_factors(n):
+    found = []
+    d = 2
+    while d * d <= n:
+        e = 0
+        while n % d == 0:
+            n //= d
+            e += 1
+        if e:
+            found.append((d, e))
+        d += 1
+    if n > 1:
+        found.append((n, 1))
+    return tuple(found)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(st.integers(1, arith.LIMIT - 1))
+@example(arith.LIMIT - 1)  # the largest prime in the domain
+@example(46337**2)  # the square of the largest trial prime
+def test_factorize_matches_naive_division(n):
+    assert arith.factorize(n).factors == _naive_factors(n)
+
+
+@pytest.mark.parametrize("n", [-1, arith.LIMIT, 2**63])
+def test_factorize_rejects_outside_the_domain(n):
+    with pytest.raises(ValueError, match=r"1 <= n < 2\^31"):
+        arith.factorize(n)
 
 
 def test_is_prime_at_the_witness_bound():

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import math
+import re
 import subprocess
 import sys
 from contextlib import redirect_stdout
@@ -108,6 +109,18 @@ def test_voronoi_rejects_bad_windows_and_tolerances(capsys, flag, value, message
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+def test_voronoi_reads_a_mod_q():
+    """An a past 2^62 gives the phase of a mod q: numpy's int64 products
+    used to wrap, and --a 2^62 + 1 solved to |eta| = 0.48."""
+    rows = []
+    for a in ("2", str(2**62 + 1)):
+        status, out = _run(["voronoi", "--form", "E2_11_2", "--q", "3", "--a", a,
+                            "--bound", "5000"])
+        assert status == 0
+        rows.append(out.splitlines()[2].split(","))
+    assert rows[0][:2] + rows[0][3:] == rows[1][:2] + rows[1][3:]
 
 
 def test_voronoi_nan_phase_is_inconclusive(monkeypatch, capsys):
@@ -237,14 +250,14 @@ def test_bad_value_gives_one_error_line(command, key, value, tmp_path, capsys):
 
 def test_memory_error_exit_status(monkeypatch, capsys):
     def fail(a, b, c):
-        raise MemoryError("unit table of 2147483646 entries")
+        raise MemoryError("unit table of 1048572 entries")
 
     monkeypatch.setattr(cli, "kloosterman", fail)
-    status = cli.main(["kloosterman", "--c", "2147483647", "--a", "1", "--b", "1"])
+    status = cli.main(["kloosterman", "--c", "1048573", "--a", "1", "--b", "1"])
     captured = capsys.readouterr()
     assert status == 3
     assert captured.out == ""
-    assert captured.err == "error: MemoryError: unit table of 2147483646 entries\n"
+    assert captured.err == "error: MemoryError: unit table of 1048572 entries\n"
 
 
 def test_out_file_and_env_dir(tmp_path, monkeypatch):
@@ -390,3 +403,78 @@ def test_threads_is_a_verify_all_option_only(capsys):
         cli.main(["exponent", "--threads", "2", "--eta", "2/5"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --threads" in capsys.readouterr().err
+
+
+# One rejected value per numeric parameter of every command, with the other
+# arguments that reach the check: (command, parameter, argv). Each exits 2
+# with one stderr line naming the parameter, before any table is built.
+_REJECTED = [
+    ("characters", "M", ["--M", "0"]),
+    ("characters", "M", ["--M", "1025"]),
+    ("kloosterman", "c", ["--a", "1", "--b", "1", "--c", "0"]),
+    ("kloosterman", "c", ["--a", "1", "--b", "1", "--c", "1048577"]),
+    ("kloosterman", "c", ["--a", "1", "--b", "1", "--c", "2147483647"]),
+    ("kloosterman", "cmax", ["--cmax", "0"]),
+    ("kloosterman", "cmax", ["--cmax", "8193"]),
+    ("kloosterman", "samples", ["--cmax", "3", "--samples", "0"]),
+    ("kloosterman", "samples", ["--cmax", "4096", "--samples", "17"]),
+    ("delta", "Q", ["--Q", "nan"]),
+    ("delta", "P", ["--Q", "10", "--P", "4"]),
+    ("delta", "P", ["--Q", "10", "--P", "2305843009213693951"]),
+    ("delta", "nmax", ["--Q", "10", "--nmax", "-1"]),
+    ("delta", "sharpness", ["--Q", "10", "--sharpness", "nan"]),
+    ("delta", "sharpness", ["--Q", "10", "--sharpness", "0"]),
+    ("voronoi", "q", ["--form", "E2_11_2", "--q", "0"]),
+    ("voronoi", "q", ["--form", "E2_11_2", "--q", "65537"]),
+    ("voronoi", "a", ["--form", "E2_11_2", "--q", "3", "--a", "3"]),
+    ("voronoi", "support_lo", ["--form", "E2_11_2", "--support_lo", "-5"]),
+    ("voronoi", "support_hi", ["--form", "E2_11_2", "--support_hi", "inf"]),
+    ("voronoi", "truncation_tol", ["--form", "E2_11_2", "--truncation_tol", "nan"]),
+    ("voronoi", "bound", ["--form", "E2_11_2", "--bound", "250001"]),
+    ("shifted", "M", ["--f1", "E2_11_2", "--X", "20", "--M", "4"]),
+    ("shifted", "M", ["--f1", "E2_11_2", "--X", "20", "--M", "2147483649"]),
+    ("shifted", "r", ["--f1", "E2_11_2", "--X", "20", "--M", "2", "--r", "0"]),
+    ("shifted", "X", ["--f1", "E2_11_2", "--M", "2", "--X", "0.5"]),
+    ("shifted", "X", ["--f1", "E2_11_2", "--M", "2", "--X", "inf"]),
+    ("shifted", "X", ["--f1", "E2_11_2", "--M", "2", "--X", "nan"]),
+    ("shifted", "Y", ["--f1", "E2_11_2", "--M", "2", "--X", "20", "--Y", "nan"]),
+    ("moment", "M", ["--form", "E2_11_2", "--X", "20", "--M", "0"]),
+    ("moment", "M", ["--form", "E2_11_2", "--X", "20", "--M", "8193"]),
+    ("moment", "X", ["--form", "E2_11_2", "--M", "7", "--X", "inf"]),
+    ("moment", "X", ["--form", "E2_11_2", "--M", "7", "--X", "nan"]),
+    ("exponent", "eta", ["--eta", "-1"]),
+    ("verify-all", "threads", ["--threads", "0"]),
+]
+
+# numeric parameters with no rejected value, and why
+_ANY_VALUE_ACCEPTED = {
+    ("kloosterman", "a"): "reduced mod c",
+    ("kloosterman", "b"): "reduced mod c",
+    ("kloosterman", "seed"): "any integer seeds the sampler",
+}
+
+
+@pytest.mark.parametrize(
+    "command,name,argv", _REJECTED, ids=[f"{c}-{n}={a[-1]}" for c, n, a in _REJECTED]
+)
+def test_bad_numeric_value_is_rejected(monkeypatch, capsys, command, name, argv):
+    from deltasum import verify
+
+    monkeypatch.setattr(verify, "run_all", lambda threads=1: pytest.fail("checks ran"))
+    assert cli.main([command, *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert re.search(rf"\b{name}\b", captured.err), captured.err
+
+
+def test_every_numeric_parameter_has_a_rejected_value():
+    covered = {(command, name) for command, name, _ in _REJECTED}
+    assert not covered & set(_ANY_VALUE_ACCEPTED)
+    numeric = {
+        (command.name, param.name)
+        for command in cli.COMMANDS.values()
+        for param in command.params
+        if param.parse in (int, float, cli._parse_fraction)
+    }
+    assert numeric == covered | set(_ANY_VALUE_ACCEPTED)
