@@ -195,6 +195,11 @@ _VORONOI_MODULUS = 1 << 16
 # the moment walks the primitive characters, about 1.2 ms per unit of M at
 # X = 1000: M = 8191 took 9.5 s and 37 MiB
 _MOMENT_MODULUS = 1 << 13
+# the shifted sum's q-loop grows with its largest |t|, about |r M|: at this
+# limit Delta_1_12 at X = 1200 (the default coefficient bound's largest X)
+# took 2.3 s and 37 MiB; r = 10^6 with M = 2 took 10.2 s at X = 20.  Past
+# |r M| >= 5 max(X, Y) / 2 the sum has no terms
+_SHIFTED_RM = 1 << 17
 
 
 def _check_range(name: str, value: int, cap: int) -> None:
@@ -333,6 +338,9 @@ def _cmd_voronoi(p: dict) -> list[tuple]:
     Param("Y", float, None, "second scale (defaults to X)"),
 )
 def _cmd_shifted(p: dict) -> list[tuple]:
+    shift = abs(p["r"] * p["M"])
+    if shift > _SHIFTED_RM:
+        raise ConfigError(f"r {p['r']} times M {p['M']} is {shift} in size, over {_SHIFTED_RM}")
     f1 = modforms.builtin_form(p["f1"])
     f2 = modforms.builtin_form(p["f2"] or p["f1"])
     y_scale = p["Y"] if p["Y"] is not None else p["X"]

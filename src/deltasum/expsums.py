@@ -26,6 +26,7 @@ __all__ = [
     "cusp_pair_sum",
     "kloosterman",
     "principal_cusp_sum",
+    "ramanujan_divisors",
     "ramanujan_sum",
     "recombine_residues",
     "twisted_multiplicativity",
@@ -88,22 +89,31 @@ def kloosterman(a: int, b: int, c: int, use_crt: bool = False) -> KloostermanVal
     )
 
 
-def ramanujan_sum(q: int, n):
-    """c_q(n) = S(n, 0; q) = sum_{d | q} d mu(q/d) [d | n], exactly.
+def ramanujan_divisors(q: int) -> tuple[tuple[int, int], ...]:
+    """The divisor list of c_q: the pairs (d, d mu(q/d)) over the d | q
+    with q/d squarefree, the only d with mu(q/d) != 0, so that
+    c_q(n) = sum of d mu(q/d) over the pairs with d | n.
 
-    Only the d with q/d squarefree enter: q is factored once, and each set
-    S of its primes gives d = q / prod S with mu(q/d) = (-1)^|S|.  n may be
-    an int or an integer numpy array; the result is an int or an int64
-    array of the same shape.
+    q is factored once, and each set S of its primes gives d = q / prod S
+    with mu(q/d) = (-1)^|S|; the pairs come in the order the sets are
+    added, (q, q) first.
     """
     if q < 1:
         raise ValueError("modulus must be positive")
-    terms = [(q, 1)]
+    terms = [(q, q)]
     for p, _ in factorize(q).factors:
-        terms += [(d // p, -mu) for d, mu in terms]
+        terms += [(d // p, -c // p) for d, c in terms]
+    return tuple(terms)
+
+
+def ramanujan_sum(q: int, n):
+    """c_q(n) = S(n, 0; q) = sum_{d | q} d mu(q/d) [d | n], exactly, over
+    the divisor list of ramanujan_divisors.  n may be an int or an integer
+    numpy array; the result is an int or an int64 array of the same shape.
+    """
     total = 0
-    for d, mu in terms:
-        total = total + d * mu * (n % d == 0)
+    for d, c in ramanujan_divisors(q):
+        total = total + c * (n % d == 0)
     return total
 
 

@@ -218,6 +218,11 @@ def _adaptive_gk_1d(f, lo, hi, tol, max_depth=50):
     while stack:
         a, b, depth = stack.pop()
         val, err = _gk_panel_1d(f, a, b)
+        if not (math.isfinite(val) and math.isfinite(err)):
+            # a NaN error fails every test below and would bisect to max_depth
+            raise ValueError(
+                f"integrand not finite on panel [{a}, {b}]: estimate {val}, error {err}"
+            )
         if err <= tol * max((b - a) / total_len, 1e-16) or depth >= max_depth:
             pieces.append(val)
             errs.append(err)

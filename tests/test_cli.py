@@ -434,6 +434,8 @@ _REJECTED = [
     ("shifted", "M", ["--f1", "E2_11_2", "--X", "20", "--M", "4"]),
     ("shifted", "M", ["--f1", "E2_11_2", "--X", "20", "--M", "2147483649"]),
     ("shifted", "r", ["--f1", "E2_11_2", "--X", "20", "--M", "2", "--r", "0"]),
+    ("shifted", "r", ["--f1", "E2_11_2", "--X", "20", "--M", "2", "--r", "1000000"]),
+    ("shifted", "r", ["--f1", "E2_11_2", "--X", "20", "--M", "2", "--r", "100000000000000000001"]),
     ("shifted", "X", ["--f1", "E2_11_2", "--M", "2", "--X", "0.5"]),
     ("shifted", "X", ["--f1", "E2_11_2", "--M", "2", "--X", "inf"]),
     ("shifted", "X", ["--f1", "E2_11_2", "--M", "2", "--X", "nan"]),

@@ -5,6 +5,8 @@ from math import gcd
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from deltasum import arith, expsums, verify
 
@@ -111,6 +113,25 @@ def test_ramanujan_sum_matches_divisor_mobius_sum():
             if mu:
                 literal += d * mu * (ns % d == 0)
         assert np.array_equal(expsums.ramanujan_sum(q, ns), literal), q
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.integers(1, 3000), st.integers(1, 12), st.integers(-(10**6), 10**6))
+@example(1, 1, 0)
+@example(2310, 1, 1)
+def test_ramanujan_sum_matches_cosine_sums(q, j, k):
+    """c_q(n), the divisor list of ramanujan_divisors, against the literal
+    sum of cos(2 pi (a n mod q) / q) over the a mod q coprime to q, for
+    n = k floor(q / j): a multiple of a large divisor of q whenever j | q.
+    Each argument is within 3 u 2 pi of its value (three roundings of a
+    number below 2 pi) and each cosine adds one ulp, so the fsum is within
+    (6 pi + 1) u phi(q) < 20 u phi(q), u = 2^-53.  The shifted sums'
+    gamma-sums read the same list."""
+    n = k * (q // j)
+    residues = np.array([a for a in range(q) if gcd(a, q) == 1], dtype=np.int64)
+    literal = math.fsum(np.cos(2.0 * np.pi * ((residues * n) % q) / q).tolist())
+    error = abs(expsums.ramanujan_sum(q, n) - literal)
+    assert error <= 20 * 2.0**-53 * residues.size, (q, n, error)
 
 
 def test_recombine_residues():

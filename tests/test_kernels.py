@@ -1,5 +1,6 @@
 import hashlib
 import math
+import time
 import tracemalloc
 import warnings
 
@@ -28,6 +29,17 @@ def test_bump_support_and_normalization():
         vals[0] + vals[-1] + 4 * vals[1:-1:2].sum() + 2 * vals[2:-1:2].sum()
     )
     assert abs(simpson - 1.0) < 1e-8
+
+
+def test_adaptive_gk_raises_on_a_nan_integrand():
+    """A NaN or infinite integrand raises ValueError naming the panel, at
+    once: a NaN error estimate fails every tolerance test, and each panel
+    used to be bisected down to depth 50, which never returned."""
+    for bad in (math.nan, math.inf):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"not finite on panel \[0\.5, 1\.0\]"):
+            kernels._adaptive_gk_1d(lambda x: np.where(x > 0.9, bad, x), 0.5, 1.0, 1e-13)
+        assert time.perf_counter() - start < 1.0
 
 
 def test_bump_peak_normalization():
@@ -647,10 +659,12 @@ def _pinned_delta_values():
 
 
 # sha256 of _pinned_delta_values, joined by newlines, as written when the
-# weight rows became C_k - sum_j B_kj at k fl(1/Q); every value within
-# 1e-15 absolute, and every raw_zero within 1e-15 relative, of the per-q
-# j-sums before
-_DELTA_SHA256 = "b7a5641a48d933325d1c7d802a6a844b4f84f8fc1bdb13044bc91e6dfdd92ca5"
+# shifted sums' amplitudes became one FFT folded onto u = |t| and their
+# gamma-sums strided sums: the decomposition and raw_zero lines are those
+# written when the weight rows became C_k - sum_j B_kj at k fl(1/Q), and
+# the nine SumReports moved by at most 4.9e-15 of |delta_value| (E4_5_4,
+# r = 2, X = 20, its coprime stratum)
+_DELTA_SHA256 = "387b1669ecb317f7159db5155e4c1e38361109a8832218a14569b8f4c0e4cbc5"
 
 
 def test_delta_values_unchanged():

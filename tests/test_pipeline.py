@@ -9,7 +9,12 @@ import numpy as np
 import pytest
 
 from deltasum import modforms, pipeline, verify
-from deltasum.expsums import coprime_residue_sum, kloosterman, ramanujan_sum
+from deltasum.expsums import (
+    coprime_residue_sum,
+    kloosterman,
+    ramanujan_divisors,
+    ramanujan_sum,
+)
 from deltasum.kernels import (
     DeltaScheme,
     SmoothBump,
@@ -61,6 +66,16 @@ def test_spec_validation(level11_form, delta_form):
     f5 = modforms.builtin_form("E4_5_4")
     with pytest.raises(ValueError):
         _spec(f5, 2, 5, 20.0)  # r shares the level
+
+
+def test_spec_rejects_a_shift_outside_the_integer_domain(level11_form):
+    """|r M| >= 2^31 raises with a line naming r, before any int64 array
+    holds the shift; r = 10^20 + 1 used to raise OverflowError in
+    shifted_sum_direct."""
+    for r, m in ((10**20 + 1, 2), (-(2**30), 2), (2**31 - 1, 3)):
+        with pytest.raises(ValueError, match=rf"^r {r} times M {m} "):
+            _spec(level11_form, m, r, 20.0)
+    assert _spec(level11_form, 2, 2**30 - 2, 20.0).r == 2**30 - 2
 
 
 def test_shifted_sum_direct_reference_loop(delta_form):
@@ -190,23 +205,64 @@ def test_gamma_sum_closed_forms(level):
 
 
 @pytest.mark.parametrize("level", [1, 2, 3, 5, 11])
-def test_gamma_sums_from_residue_tables_are_exact(level):
-    """_gamma_sums reads each closed form from a table over t mod qP; at
-    signed t, the shifted sums' t-range spanning 0, the values are the
-    int64s of coprime_residue_sum and ramanujan_sum evaluated on t itself.
-    The tables are built once per (q, P) and cached read-only."""
-    ts = np.arange(-3000, 3000, dtype=np.int64)
-    for q in range(1, 201):
-        want = [coprime_residue_sum(q, level, ts)]
-        if level > 1 and q % level:
-            want += [ramanujan_sum(q * level, ts), ramanujan_sum(q, ts)]
-        got = pipeline._gamma_sums(q, level, ts)
-        assert len(got) == len(want), q
-        for values, expected in zip(got, want):
-            assert values.dtype == np.int64 and np.array_equal(values, expected), q
-        tables = pipeline._gamma_tables(q, level)
-        assert tables is pipeline._gamma_tables(q, level), q
-        assert not any(table.flags.writeable for table in tables), q
+def test_gamma_strata_match_the_dot_with_the_closed_forms(level):
+    """_gamma_strata, strided sums of w folded onto u = |t|, against the dot
+    of signed weights a(t) with coprime_residue_sum and ramanujan_sum on t
+    itself (the closed forms as int64s, the dot as one math.fsum), for
+    q <= 200 on t in [-3000, 3000) and on t in [1000, 3000), whose grid
+    starts above 0.
+
+    Bound: 32 u sum|terms|, u = 2^-53, the terms being a(t) c_d over each t
+    and each (d, c_d) of the form's divisor list with d | t: one rounding
+    for the fold, at most 27 in numpy's pairwise strided sums of <= 3001
+    values, one for c_d S(d), one for the factor P, one for the reference's
+    products; the fsums add none.  Worst measured: 1.5."""
+    rng = np.random.default_rng(30)
+    for t_lo in (-3000, 1000):
+        ts = np.arange(t_lo, 3000, dtype=np.int64)
+        a = rng.standard_normal(ts.size)
+        u_lo = int(np.abs(ts).min())
+        w = np.zeros(int(np.abs(ts).max()) - u_lo + 1)
+        np.add.at(w, np.abs(ts) - u_lo, a)
+        for q in range(1, 201):
+            forms = [(coprime_residue_sum(q, level, ts),
+                      [(d * level, c * level) for d, c in ramanujan_divisors(q)])]
+            if level > 1 and q % level:
+                forms += [(ramanujan_sum(q * level, ts), ramanujan_divisors(q * level)),
+                          (ramanujan_sum(q, ts), ramanujan_divisors(q))]
+            got = pipeline._gamma_strata(w, u_lo, q, level)
+            assert len(got) == len(forms), q
+            for value, (closed, divs) in zip(got, forms):
+                want = math.fsum((a * closed).tolist())
+                terms = sum(abs(c) * np.abs(a[ts % d == 0]).sum() for d, c in divs)
+                assert abs(value - want) <= 32 * 2.0**-53 * terms, (q, value, want)
+
+
+def test_pair_amplitudes_match_the_folded_correlation(level11_form):
+    """_pair_amplitudes against np.correlate of the two windows folded onto
+    u = |t| by np.add.at: the grid is every u from the least to the greatest
+    |t| of the pairs, also for r = +-100, whose t-range misses 0, and each
+    amplitude is within 4 u log2(size) |w1|_2 |w2|_2 of the folded
+    correlation, u = 2^-53 (worst measured 0.43, with the X = 250 and 2000
+    rungs of the ladder)."""
+    specs = [*verify.acceptance_specs(), _spec(level11_form, 3, 100, 40.0),
+             _spec(level11_form, 3, -100, 40.0)]
+    for form_id in modforms.BUILTIN_FORM_IDS:
+        f = modforms.builtin_form(form_id, bound=5000)
+        specs.append(_spec(f, next(m for m in (2, 3, 5, 7) if gcd(m, f.level) == 1), 1, 2000.0))
+    for spec in specs:
+        ns, w1 = pipeline._lam_window(spec.f1, spec.x_scale, spec.window.fx)
+        ms, w2 = pipeline._lam_window(spec.f2, spec.y_scale, spec.window.fy)
+        ts = np.arange(ns[0] - ms[-1], ns[-1] - ms[0] + 1) + spec.r * spec.shift_modulus
+        us, amps = pipeline._pair_amplitudes(spec)
+        assert np.array_equal(us, np.arange(np.abs(ts).min(), np.abs(ts).max() + 1)), spec
+        want = np.zeros(us.size)
+        np.add.at(want, np.abs(ts) - us[0], np.correlate(w1, w2, "full"))
+        bound = 4 * 2.0**-53 * math.log2(ts.size) * np.linalg.norm(w1) * np.linalg.norm(w2)
+        assert np.abs(amps - want).max() <= bound, spec
+    # r = 100, M = 3: n, m in [21, 99], so t runs over [222, 378]
+    us, _ = pipeline._pair_amplitudes(_spec(level11_form, 3, 100, 40.0))
+    assert (us[0], us[-1]) == (222, 378)
 
 
 @pytest.mark.parametrize("level", [1, 2, 11])
@@ -247,9 +303,11 @@ def _ladder_top_rung():
 
 
 # sha256 of _ladder_top_rung, joined by newlines, as written when the
-# weight rows became C_k - sum_j B_kj at k fl(1/Q); every value field within
-# 2e-14 relative of the per-q j-sums before
-_LADDER_SHA256 = "767b4921058e48359e6dc0ff51b8bf48798d10b56068c8d28e779368e125a912"
+# amplitudes became one FFT folded onto u = |t| and the gamma-sums strided
+# sums over the Ramanujan divisor lists; all five reports moved, no field
+# by more than 3.3e-15 of |delta_value| (E8_2_8's delta_value), against
+# the correlation and residue tables before
+_LADDER_SHA256 = "fd4a4ce2ea90ff8c39711f1266027a12a5714e6948caad42498b2e7678f98a2e"
 
 
 def test_ladder_top_rung_unchanged():
