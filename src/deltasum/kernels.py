@@ -582,6 +582,51 @@ _BAND_MARGIN = 1e-9
 _BAND_PIECE = 1 << 12
 
 
+def _column_sums(a: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """C_k = sum_j a[k j - 1] over the j with k j <= a.size, for each k of
+    ks, added from 0 in j order: one zero-padded (rows, j) table of the
+    terms, summed along j by np.cumsum in blocks of at most _CHUNK cells
+    (one row if a row is longer).  The padding comes after a row's last
+    term and every term is >= 0, so each C_k is the same float as the sum
+    of its own terms alone."""
+    # padded[m] = a[m - 1]; a clipped index m > a.size reads the last 0
+    padded = np.concatenate(([0.0], a, [0.0]))
+    # k past a.size has no term; the cap also keeps k j inside int64
+    caps = np.minimum(ks, a.size + 1)
+    counts = a.size // caps
+    sums = np.zeros(ks.size)
+    first = 0
+    while first < ks.size:
+        widest = np.maximum.accumulate(counts[first : first + _CHUNK])
+        rows = max(1, int(np.count_nonzero(widest * np.arange(1, widest.size + 1) <= _CHUNK)))
+        width = int(widest[rows - 1])
+        if width:
+            cells = np.multiply.outer(caps[first : first + rows], np.arange(1, width + 1))
+            table = np.take(padded, cells, mode="clip")
+            sums[first : first + rows] = np.cumsum(table, axis=1)[:, -1]
+        first += rows
+    return sums
+
+
+def _band_pieces(bands):
+    """The (start, stop, m) bands, in their order, packed into pieces
+    (lists of such slices) of at most _BAND_PIECE values each; a band is
+    split where a piece fills."""
+    piece: list[tuple[int, int, int]] = []
+    filled = 0
+    for start, stop, m in bands:
+        while start < stop:
+            take = min(stop - start, _BAND_PIECE - filled)
+            piece.append((start, start + take, m))
+            filled += take
+            start += take
+            if filled == _BAND_PIECE:
+                yield piece
+                piece, filled = [], 0
+    if piece:
+        yield piece
+
+
 def delta_weight_array(
     x: float, ys: np.ndarray, bump: SmoothBump, multiples=None
 ) -> np.ndarray:
@@ -603,16 +648,20 @@ def delta_weight_array(
     own scale, at exact k x for k x in [0.02, 3], |y| <= 3 and sharpness
     0.25, 0.5 and 1: k x |g - g_exact| <= 1e-14.
 
-    |y| is sorted once, and B_m is evaluated only on its band of |y| in
-    (lo m x, hi m x): the bump's support (lo, hi), widened by a relative
-    _BAND_MARGIN, found for every m by one bisection in the sorted |y|.
-    The bump's own strict test still decides membership and B_m is 0 off
-    the band, so every value is the one a pass over the whole array gives.
-    The rows are built together in the sorted order of |y|, each started at
-    C_k: m runs up over the multiples of the call's k, and each B_m is
-    evaluated once, _BAND_PIECE values at a time, and subtracted from every
-    row whose k divides m; ascending m is each row's j order.  The rows are
-    then scattered to their places.
+    B_m is evaluated only on its band of |y| in (lo m x, hi m x): the
+    bump's support (lo, hi), widened by a relative _BAND_MARGIN, found for
+    every m by one bisection in |y| taken in ascending order.  When |y|
+    (ys flattened) already ascends, as on the shifted sum's grid, it is
+    used as it is; any other |y| is argsorted once and the rows are
+    scattered to their places at the end.  The bump's own strict test
+    still decides membership and B_m is 0 off the band, so every value is
+    the one a pass over the whole array gives.  All C_k come from one
+    table (_column_sums).  The bands the call reaches, m ascending over
+    the multiples of its k, are packed into pieces of at most _BAND_PIECE
+    values, each piece one value_array call on the quotients |y| / (m x)
+    followed by a division by m x, element by element as each B_m alone
+    would take them.  Each band is then subtracted, in ascending m, which
+    is each row's j order, from every row whose k divides m.
     """
     if x <= 0:
         raise ValueError("x must be positive")
@@ -620,38 +669,47 @@ def delta_weight_array(
     if np.any(ks < 1):
         raise ValueError("multiples must be positive integers")
     ys_abs = np.abs(np.asarray(ys, dtype=float))
-    # each band is a slice of |y| in ascending order
-    order = np.argsort(ys_abs, axis=None)
-    ordered = ys_abs.ravel()[order]
+    flat = ys_abs.ravel()
+    # each band is a slice of |y| in ascending order (a NaN is never ascending)
+    order = None if np.all(flat[1:] >= flat[:-1]) else np.argsort(flat)
+    ordered = flat if order is None else flat[order]
     # A_m for m x < hi, and B_m, which reaches |y| only for lo m x < max |y|
     m_x = np.arange(1, int(bump.hi / x) + 2) * x
-    a = bump.value_array(m_x) / m_x
+    rows = np.empty((ks.size, ordered.size))
+    rows[...] = _column_sums(bump.value_array(m_x) / m_x, ks)[:, None]
     m_top = int(ordered[-1] / (bump.lo * x)) + 2 if ordered.size else 0
     margin = _BAND_MARGIN * max(abs(bump.lo), abs(bump.hi))
     edges = np.array([bump.lo - margin, bump.hi + margin])
-    bands = np.searchsorted(ordered, np.multiply.outer(edges, np.arange(1, m_top + 1) * x))
-    sorted_rows = np.empty((ks.size, ordered.size))
+    starts, stops = np.searchsorted(
+        ordered, np.multiply.outer(edges, np.arange(1, m_top + 1) * x)
+    ).tolist()
     # the rows each m reaches: those whose k divides it
     reach: dict[int, list[int]] = {}
     for i, k in enumerate(ks.tolist()):
-        # C_k, the cumulative sum taken in j order
-        sorted_rows[i] = np.cumsum(a[k - 1 :: k])[-1] if k <= a.size else 0.0
         for m in range(k, m_top + 1, k):
             reach.setdefault(m, []).append(i)
-    for m in sorted(reach):
-        start, stop = bands[:, m - 1].tolist()
-        mx = m * x
-        for first in range(start, stop, _BAND_PIECE):
-            band = slice(first, min(first + _BAND_PIECE, stop))
-            b_m = bump.value_array(ordered[band] / mx) / mx
+    quotients = np.empty(_BAND_PIECE)
+    for piece in _band_pieces((starts[m - 1], stops[m - 1], m) for m in sorted(reach)):
+        at = 0
+        for lo, hi, m in piece:
+            np.divide(ordered[lo:hi], m * x, out=quotients[at : at + hi - lo])
+            at += hi - lo
+        values = bump.value_array(quotients[:at])
+        at = 0
+        for lo, hi, m in piece:
+            b_m = values[at : at + hi - lo]
+            b_m /= m * x
             for i in reach[m]:
-                sorted_rows[i, band] -= b_m
+                rows[i, lo:hi] -= b_m
+            at += hi - lo
     for i, k in enumerate(ks.tolist()):
         if k * x > 1.0:
             # k x > max(1, 2|y|): the |y| below k x / 2, a prefix
-            sorted_rows[i, : np.searchsorted(ordered, 0.5 * (k * x))] = 0.0
-    rows = np.empty_like(sorted_rows)
-    rows[:, order] = sorted_rows
+            rows[i, : np.searchsorted(ordered, 0.5 * (k * x))] = 0.0
+    if order is not None:
+        scattered = np.empty_like(rows)
+        scattered[:, order] = rows
+        rows = scattered
     if multiples is None:
         return rows[0].reshape(ys_abs.shape)
     return rows.reshape(ks.shape + ys_abs.shape)
@@ -697,31 +755,34 @@ def _q_max(q_scale: float, level: int, n: int) -> int:
 
 
 def _weight_columns(scheme: DeltaScheme, ns):
-    """(q, live, g) for each q in 1..q_max(max |n|) whose weight
+    """(q, live, g) for each q in 1..q_max(max n) whose weight
     g(q x0, n/(P Q^2)), x0 = fl(1/Q), is nonzero at some n of ns: live
     indexes those n and g holds their weights.  A row nonzero at every n
     has live = slice(None) and g over the whole of ns, with no index list.
     The one q-loop of the delta symbol.
 
-    The weight is evaluated on the distinct |n|, sorted, as the rows of
-    one delta_weight_array call per block of q, each block at most _CHUNK
-    values, and scattered back to ns; each value depends on (q, x0, y)
-    alone, so g is the same as on ns itself."""
+    ns is a strictly ascending grid of nonnegative integers, such as the
+    distinct |n| of a decomposition or the shifted sum's grid of u = |t|;
+    any other grid raises ValueError.  The weight is evaluated on it as it
+    stands, as the rows of one delta_weight_array call per block of q, each
+    block at most _CHUNK values."""
+    ns = np.asarray(ns)
+    ascending = ns.ndim == 1 and np.all(ns[1:] > ns[:-1])
+    if not (np.issubdtype(ns.dtype, np.integer) and ascending and np.all(ns[:1] >= 0)):
+        raise ValueError("the weight's grid must be strictly ascending nonnegative integers")
     q_scale = scheme.q_scale
-    distinct, inverse = np.unique(np.abs(np.asarray(ns)), return_inverse=True)
-    ys = distinct / (scheme.level * q_scale * q_scale)
-    q_top = scheme.q_max(int(distinct.max(initial=0)))
+    ys = ns / (scheme.level * q_scale * q_scale)
+    q_top = scheme.q_max(int(ns[-1]) if ns.size else 0)
     block = max(1, _CHUNK // max(1, ys.size))
     for first in range(1, q_top + 1, block):
         qs = range(first, min(first + block, q_top + 1))
         rows = delta_weight_array(1.0 / q_scale, ys, scheme.bump, multiples=qs)
         for q, row in zip(qs, rows):
-            gvals = row[inverse]
             if row.all():
-                live = slice(None)
+                live, gvals = slice(None), row
             else:
-                live = np.flatnonzero(gvals)
-                gvals = gvals[live]
+                live = np.flatnonzero(row)
+                gvals = row[live]
             if gvals.size:
                 yield q, live, gvals
 
@@ -736,17 +797,20 @@ def _phi_cache(bound: int) -> tuple[int, ...]:
 
 def _raw_sums(scheme: DeltaScheme, flat: np.ndarray, level: int) -> np.ndarray:
     """(1/(P Q^2)) sum_q P [P | n] c_q(n/P) g(q x0, n/(P_s Q^2)) for each
-    n >= 0 of flat, one math.fsum per n, with P_s the scheme's level and P
-    the gamma-sum's: P_s for both decompositions, 1 for the calibration."""
-    top = int(flat.max(initial=0))
-    terms = np.zeros((flat.size, scheme.q_max(top)))
-    for q, live, g in _weight_columns(scheme, flat):
+    n >= 0 of flat, one math.fsum per distinct n, with P_s the scheme's
+    level and P the gamma-sum's: P_s for both decompositions, 1 for the
+    calibration."""
+    distinct, inverse = np.unique(flat, return_inverse=True)
+    top = int(distinct[-1]) if distinct.size else 0
+    terms = np.zeros((distinct.size, scheme.q_max(top)))
+    for q, live, g in _weight_columns(scheme, distinct):
         # the gamma-sum has period qP in n: one table of it over the
         # residues an n <= top can leave, one residue per n
         table = coprime_residue_sum(q, level, np.arange(min(q * level, top + 1)))
-        terms[live, q - 1] = table[flat[live] % (q * level)] * g
+        terms[live, q - 1] = table[distinct[live] % (q * level)] * g
     scale = level * scheme.q_scale * scheme.q_scale
-    return np.array([math.fsum(row.tolist()) / scale for row in terms])
+    sums = np.array([math.fsum(row.tolist()) / scale for row in terms])
+    return sums[inverse]
 
 
 def calibrate(scheme: DeltaScheme) -> float:

@@ -298,8 +298,11 @@ def _decomposition(
     gamma: list[float] = []
     modulus: list[float] = []
     for q, live, g in _weight_columns(scheme, us):
-        w = np.zeros(amps.size)
-        w[live] = amps[live] * g
+        if isinstance(live, slice):
+            w = amps * g
+        else:
+            w = np.zeros(amps.size)
+            w[live] = amps[live] * g
         sums = _gamma_strata(w, u_lo, q, level)
         total.append(sums[0])
         if level == 1:

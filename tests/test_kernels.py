@@ -470,10 +470,16 @@ def _weight_inputs(draw):
 @example((0.3, np.zeros(7), _WEIGHT_BUMPS[0.25], range(1, 5)))
 @example((0.02, np.linspace(-3.0, 3.0, 12).reshape(3, 4), _WEIGHT_BUMPS[1.0], None))
 @example((0.02, np.linspace(-3.0, 3.0, 12), _WEIGHT_BUMPS[0.5], range(1, 151)))
+@example((1.0 / 126.5, np.arange(0, 4001) / 126.5**2, _WEIGHT_BUMPS[0.5], range(1, 9)))
+@example((0.05, np.repeat(np.linspace(0.0, 1.5, 7), 3), _WEIGHT_BUMPS[1.0], range(1, 4)))
+@example((0.3, np.array([-0.7]), _WEIGHT_BUMPS[0.25], None))
+@example((0.3, np.zeros(0), _WEIGHT_BUMPS[0.5], range(1, 4)))
 def test_weight_array_matches_full_pass(case):
     """The banded rows equal, bit for bit, the literal pass of C_k - sum_j
     B_kj over the whole array; shape ys.shape for one x, else one row per
-    multiple."""
+    multiple.  The examples take both paths: |y| ascending (a ladder-like
+    grid, a grid with ties, one element, none) used as it is, and any
+    other |y| argsorted."""
     x, ys, bump, multiples = case
     got = kernels.delta_weight_array(x, ys, bump, multiples=multiples)
     want = _delta_weight_full_pass(x, ys, bump, (1,) if multiples is None else multiples)
@@ -487,7 +493,8 @@ def test_weight_array_evaluates_each_b_m_once(monkeypatch):
     B_m's band once, however many of the rows m is a multiple of: the
     elements it evaluates are the A_m count plus the band lengths, each
     band the sorted |y| in the bump's support times m x, widened by
-    _BAND_MARGIN."""
+    _BAND_MARGIN.  The bands go packed into pieces of _BAND_PIECE values,
+    so the calls are few: at most 2 + 2 ceil(band values / _BAND_PIECE)."""
     bump = _WEIGHT_BUMPS[0.5]
     x, k_top = 1.0 / 126.5, 60
     ys = np.random.default_rng(5).uniform(-0.6, 0.6, 2000)
@@ -510,6 +517,7 @@ def test_weight_array_evaluates_each_b_m_once(monkeypatch):
         bands += int(hi - lo)
         m += 1
     assert sum(evaluated) == a_count + bands
+    assert len(evaluated) <= 2 + 2 * math.ceil(bands / kernels._BAND_PIECE), len(evaluated)
 
 
 def test_weight_array_rejects_a_multiple_below_one():

@@ -267,27 +267,44 @@ def test_pair_amplitudes_match_the_folded_correlation(level11_form):
 
 @pytest.mark.parametrize("level", [1, 2, 11])
 def test_weight_columns_match_the_weight_on_signed_n(level):
-    """_weight_columns evaluates the weight in blocks of q on the distinct
-    |n|; its (q, live, g) equal, bit for bit, those read from the rows of
-    one delta_weight_array call on the raw signed array, duplicates and
-    zeros included, with live = slice(None) read as every index."""
+    """_weight_columns on the distinct |n| gives, bit for bit, the (q, live,
+    g) read from the rows of one delta_weight_array call on the raw signed
+    array, duplicates and zeros included (its argsort path), each |n| read
+    at every n that has it; live = slice(None) is read as every index."""
     rng = np.random.default_rng(19)
     ns = np.concatenate([rng.integers(-8000, 8000, 3000), [0, 0, 5, -5, 7999, -8000]])
+    distinct, inverse = np.unique(np.abs(ns), return_inverse=True)
     q_scale = pipeline.q_cap(2000.0, 2000.0, level)
     scheme = DeltaScheme(q_scale, level, pipeline.default_delta_bump())
     ys = ns / (level * q_scale * q_scale)
     qs = range(1, scheme.q_max(8000) + 1)
     want = []
     for q, g in zip(qs, delta_weight_array(1.0 / q_scale, ys, scheme.bump, multiples=qs)):
-        live = np.flatnonzero(g)
+        on_distinct = np.empty(distinct.size)
+        on_distinct[inverse] = g
+        assert on_distinct[inverse].tobytes() == g.tobytes(), q
+        live = np.flatnonzero(on_distinct)
         if live.size:
-            want.append((q, live, g[live]))
-    got = list(_weight_columns(scheme, ns))
+            want.append((q, live, on_distinct[live]))
+    got = list(_weight_columns(scheme, distinct))
     assert [q for q, _, _ in got] == [q for q, _, _ in want]
     for (q, live, g), (_, live_want, g_want) in zip(got, want):
-        assert isinstance(live, slice) == (live_want.size == ns.size), q
-        live = np.arange(ns.size)[live]
+        assert isinstance(live, slice) == (live_want.size == distinct.size), q
+        live = np.arange(distinct.size)[live]
         assert np.array_equal(live, live_want) and g.tobytes() == g_want.tobytes(), q
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [[3, 1], [1, 1, 2], [-1, 0, 4], [0.0, 1.0], [[0, 1], [2, 3]]],
+    ids=["descending", "tie", "negative", "float", "2-D"],
+)
+def test_weight_columns_reject_a_grid_not_strictly_ascending(grid):
+    """_weight_columns takes a strictly ascending grid of nonnegative
+    integers and raises on any other, before evaluating a weight."""
+    scheme = DeltaScheme(20.0, 1, pipeline.default_delta_bump())
+    with pytest.raises(ValueError):
+        next(_weight_columns(scheme, np.array(grid)))
 
 
 def _ladder_top_rung():
