@@ -105,26 +105,44 @@ def _primes_below(n: int) -> tuple[int, ...]:
     return tuple(compress(range(n), sieve))
 
 
-# factorize's trial divisors: the 4792 primes up to isqrt(LIMIT) = 46340
+# factorize's trial divisors: the 4792 primes up to isqrt(LIMIT) = 46340, in
+# blocks of 32 with the product of each block's primes
 _TRIAL_PRIMES = _primes_below(math.isqrt(LIMIT) + 1)
+_TRIAL_BLOCKS = tuple(
+    (_TRIAL_PRIMES[i : i + 32], math.prod(_TRIAL_PRIMES[i : i + 32]))
+    for i in range(0, len(_TRIAL_PRIMES), 32)
+)
 
 
 def factorize(n: int) -> Factorization:
     """Factor 1 <= n < LIMIT = 2^31 by trial division by the primes up to
-    46340; what is left is 1 or a prime.  ValueError outside that domain."""
+    46340, a block of 32 primes at a time: one gcd with the block's product
+    skips a block that divides nothing, and only the block's primes that
+    divide that gcd are divided out.  Blocks are walked while the square of
+    a block's first prime is at most what is left, so what is left at the
+    end is 1 or a prime.  ValueError outside that domain."""
     if not 1 <= n < LIMIT:
         raise ValueError(f"factorize requires 1 <= n < 2^31, got {n}")
     factors = []
     m = n
-    for p in _TRIAL_PRIMES:
-        if p * p > m:
+    for primes, product in _TRIAL_BLOCKS:
+        if primes[0] * primes[0] > m:
             break
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            factors.append((p, e))
+        g = math.gcd(m, product)
+        if g == 1:
+            continue
+        for p in primes:
+            if p * p > m:
+                break
+            if g % p == 0:
+                e = 0
+                while m % p == 0:
+                    m //= p
+                    e += 1
+                factors.append((p, e))
+                g //= p
+                if g == 1:
+                    break
     if m > 1:
         # no prime up to isqrt(m) divides m
         factors.append((m, 1))

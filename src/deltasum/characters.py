@@ -224,7 +224,7 @@ def orthogonality_sum(modulus: int, n: int, m: int) -> int:
     group = _group(modulus)
     weights = np.array([chi._weights for chi in group.characters()])
     diff = group.logs[n % modulus] - group.logs[m % modulus]
-    k = diff @ weights.reshape(-1, len(group.orders)).T % group.order
+    k = diff @ weights.T % group.order
     total = math.fsum(group.roots[k].real)
     nearest = round(total)
     if abs(total - nearest) > 1e-6:

@@ -26,7 +26,7 @@ from .kernels import (
     SmoothBump,
     Stratum,
     _coprime_residues,
-    _sqrt_gauss_rule,
+    _sqrt_trapezoid_rule,
     _weight_columns,
     bessel_j_sums,
 )
@@ -419,35 +419,37 @@ def _dual_integrals(
     in the ascending array ns and each h in hs; every h must have the
     support [lo, hi] of hs[0], and one quadrature rule serves them all.
 
-    The phase is linear in u = sqrt(y), so the rule is Gauss-Legendre in u
-    (kernels._sqrt_gauss_rule): 32 points on each of max(6, ceil(cycles /
-    10)) equal panels of [sqrt(lo), sqrt(hi)], where cycles = 2 sqrt(ns[-1])
-    (sqrt(hi) - sqrt(lo)) / root_scale, so every panel holds the same <= 10
-    cycles; the weight is 2 u du.  Below 6 panels the bump's edges, not the
-    oscillation, set the error (4 panels leave 1.1e-12 where 6 leave 1e-14).
+    The phase is linear in u = sqrt(y), h vanishes to all orders at both
+    ends and J is band-limited, so the rule is the trapezoid rule in u
+    (kernels._sqrt_trapezoid_rule) with weights 2 u step: its step count is
+    set by the block's largest Bessel frequency s = 4 pi sqrt(ns[-1]) /
+    root_scale plus a margin from the smallest sharpness in hs, whose edge
+    is the steepest.  That sharpness is capped at 1, so bumps of sharpness
+    >= 1 (verify_voronoi's pair for any h of sharpness >= 1) take one rule
+    whether fused or alone; a steeper edge (sharpness < 1) gets more nodes.
 
     The sums over the nodes are one kernels.bessel_j_sums call with scales
-    s = 4 pi sqrt(n) / root_scale and one row of weights 2 half u w h(u^2)
+    s = 4 pi sqrt(n) / root_scale and one row of weights 2 step u h(u^2)
     per h.  Above the order's Hankel edge it sums the expansion by powers,
     (pi s)^(-1/2) sum_(m < M) s^-m (C V^c_m + S V^s_m), with M the stop
     rule's count at the block's smallest argument (6 to 15 terms from
     x = 100 on); below it, bessel_j_array on a slab.
 
     Contract, tested against scipy's J on a Gauss rule uniform in y with at
-    least one panel per cycle, for the five built-in forms at q in {1, 3},
-    n from the first, a middle and the last block before truncation, and
-    the peak-normalised bumps on [40, 200]: within 1e-12 absolute (worst
-    measured 1.4e-13, E2_11_2 at q = 3); and within 2e-15 absolute of one
-    bessel_j_array matrix over the block times the same weights.
+    least one panel per cycle: within 1e-12 absolute for the five built-in
+    forms at q in {1, 3}, n from the first, a middle and the last block
+    before truncation and the peak-normalised bumps of sharpness (1, 1.7)
+    on [40, 200]; and for the sharper pair (0.25, 0.425) on [10, 50],
+    [40, 200] and [100, 1000], n from blocks ending at 256, 2048 and 6144.
+    Within 2e-15 absolute of one bessel_j_array matrix over the block times
+    the same weights.
 
     Memory: one slab of at most kernels._SLAB Bessel arguments and the
     kernel's (M, 2 nodes) matrix per h; no (ns, nodes) block.
     """
-    lo, hi = hs[0].lo, hs[0].hi
-    cycles = 2.0 * math.sqrt(float(ns[-1])) * (math.sqrt(hi) - math.sqrt(lo)) / root_scale
-    us, half, weights = _sqrt_gauss_rule(lo, hi, cycles, 32)
-    wts = 2.0 * half * us * weights
     scaled = (4.0 * math.pi / root_scale) * np.sqrt(ns)
+    sharpness = min(1.0, *(h.sharpness for h in hs))
+    us, wts = _sqrt_trapezoid_rule(hs[0].lo, hs[0].hi, float(scaled[-1]), sharpness)
     ys = us * us
     weighted = np.array([wts * h.value_array(ys) for h in hs])
     return list(bessel_j_sums(order, scaled, us, weighted))

@@ -91,6 +91,25 @@ def test_orthogonality_examples():
     assert characters.orthogonality_sum(15, 2, 17) == 8
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(
+    st.integers(1, 1 << 10),
+    st.integers(0, 1 << 10),
+    st.integers(0, 1 << 10),
+    st.integers(-3, 3),
+    st.booleans(),
+)
+def test_orthogonality_on_random_moduli(modulus, i, j, lift, same):
+    """sum_chi chi(n) conj(chi(m)) = phi(M) [n = m (mod M)] for units n and
+    m, on moduli up to the characters --M cap of 2^10; n is lifted by a
+    multiple of M."""
+    units = [r for r in range(modulus) if math.gcd(r, modulus) == 1]
+    n = units[i % len(units)]
+    m = n if same else units[j % len(units)]
+    expected = arith.phi(modulus) if m == n else 0
+    assert characters.orthogonality_sum(modulus, n + lift * modulus, m) == expected
+
+
 def test_orthogonality_rejects_common_factor():
     with pytest.raises(characters.NotCoprime):
         characters.orthogonality_sum(15, 3, 2)

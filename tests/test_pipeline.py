@@ -19,7 +19,7 @@ from deltasum.kernels import (
     DeltaScheme,
     SmoothBump,
     Stratum,
-    _sqrt_gauss_rule,
+    _sqrt_trapezoid_rule,
     _weight_columns,
     bessel_j_array,
     delta_weight_array,
@@ -445,6 +445,27 @@ def test_dual_integrals_match_independent_oracle(form_id, q):
     assert worst <= 1e-12, worst
 
 
+@pytest.mark.parametrize("support", [(10.0, 50.0), (40.0, 200.0), (100.0, 1000.0)])
+def test_dual_integrals_match_the_oracle_on_sharp_edges(support):
+    # the same contract for a sharper-edged pair, sharpness (0.25, 0.425),
+    # whose edges set the rule's margin, on three supports; n from blocks
+    # ending at 256, 2048 and 6144 (the rule depends on the block's largest
+    # n alone).  Doubling the oracle's panels moves it by at most 7e-14 here.
+    jv = pytest.importorskip("scipy.special").jv
+    hs = tuple(SmoothBump(*support, sharpness=s, normalization="peak") for s in (0.25, 0.425))
+    worst = 0.0
+    # (order, q sqrt(P2)): Delta_1_12 and E4_5_4 at q = 1, E2_11_2 at q = 3
+    for order, root_scale in ((11, 1.0), (3, math.sqrt(5.0)), (1, 3.0 * math.sqrt(11.0))):
+        for stop in (256, 2048, 6144):
+            ns = np.array([stop - 255, stop - 254, stop - 128, stop])
+            got = pipeline._dual_integrals(order, root_scale, ns, hs)
+            for h, values in zip(hs, got):
+                for n, value in zip(ns, values):
+                    oracle = _y_uniform_integral(jv, order, root_scale, int(n), h)
+                    worst = max(worst, abs(value - oracle))
+    assert worst <= 1e-12, worst
+
+
 _VORONOI_HS = (
     SmoothBump(40.0, 200.0, sharpness=1.0, normalization="peak"),
     SmoothBump(40.0, 200.0, sharpness=1.7, normalization="peak"),
@@ -461,12 +482,11 @@ def _dual_blocks(form_id, q):
 
 
 def _one_matrix_integrals(order, root_scale, ns, hs):
-    # the block as one argument matrix and one Bessel call
-    lo, hi = hs[0].lo, hs[0].hi
-    cycles = 2.0 * math.sqrt(float(ns[-1])) * (math.sqrt(hi) - math.sqrt(lo)) / root_scale
-    us, half, weights = _sqrt_gauss_rule(lo, hi, cycles, 32)
-    wts = 2.0 * half * us * weights
-    jvals = bessel_j_array(order, np.outer((4.0 * math.pi / root_scale) * np.sqrt(ns), us))
+    # the block as one argument matrix and one Bessel call, on the nodes and
+    # weights of the dual rule (hs of sharpness >= 1)
+    scaled = (4.0 * math.pi / root_scale) * np.sqrt(ns)
+    us, wts = _sqrt_trapezoid_rule(hs[0].lo, hs[0].hi, float(scaled[-1]), 1.0)
+    jvals = bessel_j_array(order, np.outer(scaled, us))
     return [jvals @ (wts * h.value_array(us * us)) for h in hs]
 
 
@@ -475,7 +495,7 @@ def _one_matrix_integrals(order, root_scale, ns, hs):
 )
 def test_dual_integrals_match_the_one_matrix_block(form_id, q):
     # the Hankel side summed by powers of s and u: every integral within
-    # 2e-15 absolute of one Bessel matrix over the block (4.4e-16 measured)
+    # 2e-15 absolute of one Bessel matrix over the block (3.7e-16 measured)
     order, root_scale, blocks = _dual_blocks(form_id, q)
     for ns in blocks:
         got = pipeline._dual_integrals(order, root_scale, ns, _VORONOI_HS)
@@ -486,17 +506,15 @@ def test_dual_integrals_match_the_one_matrix_block(form_id, q):
 
 def test_dual_integrals_memory_is_one_slab():
     """The largest block of the Voronoi pass, Delta_1_12 at q = 1: 256 n by
-    1408 nodes.  With no (ns, nodes) block, the call peaks within 2 MiB
-    (1.1 MiB measured): one slab of at most 2^14 arguments with its cos/sin
-    buffer, and one (M, 2 nodes) matrix per test function.  The J block
-    filled slab by slab peaked at 3.50 MiB, and one argument matrix with one
-    Bessel call over it at 7.85 MiB."""
+    581 nodes.  With no (ns, nodes) block, the call peaks within 2 MiB
+    (0.78 MiB measured): one slab of at most 2^14 arguments with its cos/sin
+    buffer, and one (M, 2 nodes) matrix per test function."""
     order, root_scale, (_, ns) = _dual_blocks("Delta_1_12", 1)
     pipeline._dual_integrals(order, root_scale, ns, _VORONOI_HS)  # warm the caches
     lo, hi = _VORONOI_HS[0].lo, _VORONOI_HS[0].hi
-    cycles = 2.0 * math.sqrt(float(ns[-1])) * (math.sqrt(hi) - math.sqrt(lo)) / root_scale
-    nodes = _sqrt_gauss_rule(lo, hi, cycles, 32)[0].size
-    assert nodes == 1408
+    top = 4.0 * math.pi * math.sqrt(float(ns[-1])) / root_scale
+    nodes = _sqrt_trapezoid_rule(lo, hi, top, 1.0)[0].size
+    assert nodes == 581
     tracemalloc.start()
     try:
         pipeline._dual_integrals(order, root_scale, ns, _VORONOI_HS)

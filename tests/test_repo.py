@@ -205,24 +205,41 @@ def test_every_public_name_and_method_is_reached():
     assert not unreached, unreached
 
 
-def test_one_q_loop_for_the_delta_weight():
-    """delta_weight_array is called in src/ only by kernels._weight_columns,
-    the q-loop every decomposition and the shifted sum walk, and by
-    kernels.double_bessel_integral on its quadrature mesh; verify.py's
-    checks call it as oracles."""
-    allowed = {("kernels.py", "_weight_columns"), ("kernels.py", "double_bessel_integral")}
+def _src_callers(name: str, skip: tuple[str, ...] = ()) -> set[tuple[str, str | None]]:
+    """(file, top-level definition) for every call of name in src/deltasum,
+    leaving out the files named in skip."""
     callers = set()
     for path in sorted((ROOT / "src" / "deltasum").glob("*.py")):
-        if path.name == "verify.py":
+        if path.name in skip:
             continue
         for top in ast.parse(path.read_text()).body:
             for node in ast.walk(top):
                 if isinstance(node, ast.Call):
                     func = node.func
                     ident = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                    if ident == "delta_weight_array":
+                    if ident == name:
                         callers.add((path.name, getattr(top, "name", None)))
+    return callers
+
+
+def test_one_q_loop_for_the_delta_weight():
+    """delta_weight_array is called in src/ only by kernels._weight_columns,
+    the q-loop every decomposition and the shifted sum walk, and by
+    kernels.double_bessel_integral on its quadrature mesh; verify.py's
+    checks call it as oracles."""
+    allowed = {("kernels.py", "_weight_columns"), ("kernels.py", "double_bessel_integral")}
+    callers = _src_callers("delta_weight_array", skip=("verify.py",))
     assert callers <= allowed, sorted(callers - allowed, key=str)
+
+
+def test_each_bessel_integral_keeps_its_rule():
+    """In src/, kernels._sqrt_gauss_rule is called only by
+    double_bessel_integral, whose 24- against 32-point error estimate needs
+    Gauss panels, and kernels._sqrt_trapezoid_rule only by
+    pipeline._dual_integrals, whose margin comes from its bumps' edges; so
+    neither integral drifts onto the other's rule."""
+    assert _src_callers("_sqrt_gauss_rule") == {("kernels.py", "double_bessel_integral")}
+    assert _src_callers("_sqrt_trapezoid_rule") == {("pipeline.py", "_dual_integrals")}
 
 
 def test_only_the_scheme_calibrates_itself():
