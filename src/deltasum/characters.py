@@ -222,7 +222,12 @@ def orthogonality_sum(modulus: int, n: int, m: int) -> int:
     if gcd(n, modulus) != 1 or gcd(m, modulus) != 1:
         raise NotCoprime(f"{n}*{m} shares a factor with {modulus}")
     group = _group(modulus)
-    weights = np.array([chi._weights for chi in group.characters()])
+    # row j holds the exponent weights of character j, in characters() order;
+    # M in {1, 2} has no generators and one character, so shape (1, 0)
+    steps = (range(0, group.order, group.order // s) for s in group.orders)
+    weights = np.array(list(product(*steps)), dtype=np.int64).reshape(
+        math.prod(group.orders), len(group.orders)
+    )
     diff = group.logs[n % modulus] - group.logs[m % modulus]
     k = diff @ weights.T % group.order
     total = math.fsum(group.roots[k].real)

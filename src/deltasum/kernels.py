@@ -14,14 +14,13 @@ Numerical conventions, fixed for reproducibility:
   when the scheme is built: at y = 0 no B_m is nonzero, so it is
   fsum_q phi(q) C_q / Q^2 over q <= Q.  Every decomposition value is its
   raw sum divided by raw_zero, so the plain anchor is exactly 1;
-- both Bessel-kernel integrals are taken in u = sqrt(y), where the Bessel
-  phase is linear, each by one fixed rule: the Voronoi dual integrals of
-  the pipeline by _sqrt_trapezoid_rule, the trapezoid rule with its step
-  set by the kernel's largest frequency and the test bump's edge; the
-  double integral here by _sqrt_gauss_rule, Gauss-Legendre on equal panels
-  of at most 10 cycles each, whose 24- against 32-point difference is the
-  error estimate.  Nothing adapts, so the nodes depend on the parameters
-  alone.
+- every integral is taken in u = sqrt(y), where the Bessel phase is
+  linear, by one of two fixed rules: both bump integrals (the pipeline's
+  Voronoi dual integrals, a SmoothBump's normalization) by
+  _sqrt_trapezoid_rule, its step set by the largest frequency and the
+  bump's edge; the double integral by _sqrt_gauss_rule, Gauss-Legendre on
+  equal panels of at most 10 cycles, whose 24- against 32-point
+  difference is the error estimate.  Nothing adapts.
 """
 
 from __future__ import annotations
@@ -74,6 +73,10 @@ class NumericalFailure(ArithmeticError):
 # Smooth bumps
 # ---------------------------------------------------------------------------
 
+# the least sharpness s of an integral-normalized bump: its normalization
+# takes ln(2^53)^2 / (2 pi s) trapezoid nodes, 2.2e5 here
+_SHARPNESS_FLOOR = 2.0**-10
+
 
 @dataclass(frozen=True)
 class SmoothBump:
@@ -81,9 +84,9 @@ class SmoothBump:
     normalized coordinate u = (x - lo)/(hi - lo).
 
     normalization "integral" rescales so the integral over the line equals
-    target; "peak" rescales the maximum to target. The sharpness s controls
-    how concentrated the bump is; distinct sharpness values give genuinely
-    distinct test functions.
+    target (within 1e-15 relative up to s = 10; s >= 2^-10); "peak" rescales
+    the maximum to target. The sharpness s controls how concentrated the bump
+    is; distinct sharpness values give genuinely distinct test functions.
     """
 
     lo: float
@@ -93,23 +96,30 @@ class SmoothBump:
     target: float = 1.0
 
     def __post_init__(self):
-        if not self.lo < self.hi:
-            raise ValueError("need lo < hi")
+        if not (self.lo < self.hi and math.isfinite(self.hi - self.lo)):
+            raise ValueError(f"need lo < hi and hi - lo finite, got [{self.lo}, {self.hi}]")
         if not 0 < self.sharpness < math.inf:
             raise ValueError(f"sharpness {self.sharpness} must be positive and finite")
         if self.normalization not in ("integral", "peak"):
             raise ValueError("normalization must be 'integral' or 'peak'")
+        if self.normalization == "integral" and self.sharpness < _SHARPNESS_FLOOR:
+            raise ValueError(f"sharpness {self.sharpness} is below the floor {_SHARPNESS_FLOOR}")
         # at scale 1.0 value_array is the unscaled template (1.0 * v == v)
         object.__setattr__(self, "_scale", 1.0)
         object.__setattr__(self, "_scale", self._compute_scale())
 
     def _compute_scale(self) -> float:
+        # the peak, or the integral by the bump integrals' rule at frequency 0 on
+        # [0, hi - lo], sharpness capped at 1 (enough nodes for a sharp interior)
         if self.normalization == "peak":
-            return self.target / math.exp(-4.0 * self.sharpness)
-        integral, _ = _adaptive_gk_1d(self.value_array, self.lo, self.hi, 1e-13)
-        if integral <= 0:
-            raise ValueError("degenerate bump")
-        return self.target / integral
+            norm = math.exp(-4.0 * self.sharpness)
+        else:
+            s = min(1.0, self.sharpness)
+            us, weights = _sqrt_trapezoid_rule(0.0, self.hi - self.lo, 0.0, s)
+            norm = math.fsum((weights * self.value_array(self.lo + us * us)).tolist())
+        if not (norm > 0 and math.isfinite(self.target / norm)):
+            raise ValueError(f"sharpness {self.sharpness}, target {self.target}: no finite scale")
+        return self.target / norm
 
     def __call__(self, x: float) -> float:
         return float(self.value_array(x))
@@ -163,77 +173,6 @@ class ProductBump:
         zy = max(1.0, float(np.abs(grid_y * dy).max()) / peak_y) if peak_y else 1.0
         object.__setattr__(self, "zx_bound", zx)
         object.__setattr__(self, "zy_bound", zy)
-
-
-# ---------------------------------------------------------------------------
-# 1D adaptive Gauss-Kronrod (the bump's normalization integral)
-# ---------------------------------------------------------------------------
-
-_XGK = (
-    0.9914553711208126,
-    0.9491079123427585,
-    0.8648644233597691,
-    0.7415311855993944,
-    0.5860872354676911,
-    0.4058451513773972,
-    0.2077849550078985,
-    0.0,
-)
-_WGK = (
-    0.0229353220105292,
-    0.0630920926299786,
-    0.1047900103222502,
-    0.1406532597155259,
-    0.1690047266392679,
-    0.1903505780647854,
-    0.2044329400752989,
-    0.2094821410847278,
-)
-_WG = (
-    0.1294849661688697,
-    0.2797053914892767,
-    0.3818300505051189,
-    0.4179591836734694,
-)
-
-# Full 15-point Kronrod rule on [-1, 1]; Gauss-7 lives on the odd indices.
-_K_NODES = np.array([-x for x in _XGK[:7]] + [0.0] + list(reversed(_XGK[:7])))
-_K_WEIGHTS = np.array(list(_WGK[:7]) + [_WGK[7]] + list(reversed(_WGK[:7])))
-_G_INDEX = np.arange(1, 15, 2)
-_G_WEIGHTS = np.array(list(_WG[:3]) + [_WG[3]] + list(reversed(_WG[:3])))
-
-
-def _gk_panel_1d(f, lo: float, hi: float) -> tuple[float, float]:
-    """GK15 on [lo, hi]; f maps an array of nodes to an array of values."""
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    vals = f(mid + half * _K_NODES)
-    k = half * float(_K_WEIGHTS @ vals)
-    g = half * float(_G_WEIGHTS @ vals[_G_INDEX])
-    return k, abs(k - g)
-
-
-def _adaptive_gk_1d(f, lo, hi, tol, max_depth=50):
-    total_len = hi - lo
-    stack = [(lo, hi, 0)]
-    pieces: list[float] = []
-    errs: list[float] = []
-    while stack:
-        a, b, depth = stack.pop()
-        val, err = _gk_panel_1d(f, a, b)
-        if not (math.isfinite(val) and math.isfinite(err)):
-            # a NaN error fails every test below and would bisect to max_depth
-            raise ValueError(
-                f"integrand not finite on panel [{a}, {b}]: estimate {val}, error {err}"
-            )
-        if err <= tol * max((b - a) / total_len, 1e-16) or depth >= max_depth:
-            pieces.append(val)
-            errs.append(err)
-        else:
-            m = 0.5 * (a + b)
-            stack.append((m, b, depth + 1))
-            stack.append((a, m, depth + 1))
-    return math.fsum(pieces), math.fsum(errs)
 
 
 # ---------------------------------------------------------------------------
@@ -965,9 +904,10 @@ _LN_ULP = 53.0 * math.log(2.0)
 def _sqrt_trapezoid_rule(
     lo: float, hi: float, frequency: float, sharpness: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The rule of the Voronoi dual integrals, int g(y) J(s sqrt(y)) dy for
-    a SmoothBump g on [lo, hi] with at least the given sharpness and every
-    s <= frequency: the trapezoid rule in u = sqrt(y).
+    """The rule of every bump integral, int g(y) J(s sqrt(y)) dy for a
+    SmoothBump g on [lo, hi] with at least the given sharpness and every
+    s <= frequency: the trapezoid rule in u = sqrt(y).  A normalization takes
+    it at frequency 0 on [0, hi - lo]: N = ceil(ln(2^53)^2 / (2 pi sharpness)).
 
     The integrand 2 u g(u^2) J(s u) vanishes to all orders at both ends and
     J(s u) is band-limited to |omega| <= s, so the rule's error is the
@@ -1013,12 +953,12 @@ def double_bessel_integral(
 
     In u = sqrt(x), v = sqrt(y) it is 4 int int fx(u^2/X) fy(v^2/Y)
     g(q c / Q, (u^2 - v^2 + rM)/(P Q^2)) J_order(4 pi a u) J_order(4 pi b v)
-    du dv, and both Bessel phases are linear.  Each axis takes the rule of
-    the Voronoi dual integrals, _sqrt_gauss_rule with cycles =
-    2 a (sqrt(x_hi) - sqrt(x_lo)) (b and y on the other), and the weight is
-    one delta_weight_array call on the tensor mesh.  The value takes 32
-    points per panel; error_estimate is its distance from the same panels
-    at 24 points, and panels counts the tensor panels.
+    du dv, and both Bessel phases are linear.  Each axis takes
+    _sqrt_gauss_rule, whose Gauss panels give the error estimate, with
+    cycles = 2 a (sqrt(x_hi) - sqrt(x_lo)) (b and y on the other), and the
+    weight is one delta_weight_array call on the tensor mesh.  The value
+    takes 32 points per panel; error_estimate is its distance from the same
+    panels at 24 points, and panels counts the tensor panels.
 
     NumericalFailure, carrying the value and the estimate, is raised when
     the estimate exceeds abs_tol.

@@ -424,6 +424,7 @@ _REJECTED = [
     ("delta", "nmax", ["--Q", "10", "--nmax", "-1"]),
     ("delta", "sharpness", ["--Q", "10", "--sharpness", "nan"]),
     ("delta", "sharpness", ["--Q", "10", "--sharpness", "0"]),
+    ("delta", "sharpness", ["--Q", "10", "--sharpness", "1e-4"]),
     ("voronoi", "q", ["--form", "E2_11_2", "--q", "0"]),
     ("voronoi", "q", ["--form", "E2_11_2", "--q", "65537"]),
     ("voronoi", "a", ["--form", "E2_11_2", "--q", "3", "--a", "3"]),

@@ -1,6 +1,5 @@
 import hashlib
 import math
-import time
 import tracemalloc
 import warnings
 
@@ -31,15 +30,71 @@ def test_bump_support_and_normalization():
     assert abs(simpson - 1.0) < 1e-8
 
 
-def test_adaptive_gk_raises_on_a_nan_integrand():
-    """A NaN or infinite integrand raises ValueError naming the panel, at
-    once: a NaN error estimate fails every tolerance test, and each panel
-    used to be bisected down to depth 50, which never returned."""
-    for bad in (math.nan, math.inf):
-        start = time.perf_counter()
-        with pytest.raises(ValueError, match=r"not finite on panel \[0\.5, 1\.0\]"):
-            kernels._adaptive_gk_1d(lambda x: np.where(x > 0.9, bad, x), 0.5, 1.0, 1e-13)
-        assert time.perf_counter() - start < 1.0
+def _unit_bump_integral(mpmath, sharpness: float, dps: int):
+    """int_0^1 exp(-s / (u (1 - u))) du by mpmath at dps digits.  With
+    u = (1 + tanh x) / 2 it is exp(-4 s) int_0^oo exp(-4 s sinh(x)^2)
+    / cosh(x)^2 dx, a peak of width w = 1 / sqrt(8 s) at x = 0, split at w,
+    2w and 4w and cut where it falls below exp(-256)."""
+    with mpmath.workdps(dps):
+        s = mpmath.mpf(sharpness)
+        w = 1 / mpmath.sqrt(8 * s)
+        cuts = [0, w, 2 * w, 4 * w, mpmath.asinh(mpmath.sqrt(64 / s))]
+        integral = mpmath.quad(
+            lambda x: mpmath.exp(-4 * s * mpmath.sinh(x) ** 2) / mpmath.cosh(x) ** 2, cuts
+        )
+        return mpmath.exp(-4 * s) * integral
+
+
+def test_bump_integrates_to_its_target():
+    """Every integral-normalized bump integrates to its target within 1e-15
+    relative, sharp ones too: the integral of scale w over [lo, hi] is
+    scale (hi - lo) times the unit-interval integral.  The sharpest
+    reference is checked against 50 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    sharpnesses = (0.05, 0.25, 0.5, 1.0, 1.7, 4.0, 10.0)
+    refs = {s: _unit_bump_integral(mpmath, s, 30) for s in sharpnesses}
+    with mpmath.workdps(60):
+        assert abs(refs[10.0] / _unit_bump_integral(mpmath, 10.0, 50) - 1) < 1e-25
+    worst = 0.0
+    for lo, hi in ((0.5, 1.0), (0.5, 2.5), (40.0, 200.0), (-1.0, 1.0)):
+        for s in sharpnesses:
+            bump = kernels.SmoothBump(lo, hi, sharpness=s)
+            with mpmath.workdps(30):
+                integral = mpmath.mpf(bump._scale) * (hi - lo) * refs[s]
+                worst = max(worst, float(abs(integral - 1)))
+    assert worst <= 1e-15, worst
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        ((0.0, math.inf, 1.0, "peak"), "finite"),
+        ((-math.inf, 1.0, 1.0, "integral"), "finite"),
+        ((math.nan, 1.0, 1.0, "integral"), "lo < hi"),
+        ((1.0, 1.0, 1.0, "peak"), "lo < hi"),
+        ((-1e308, 1e308, 1.0, "peak"), "finite"),
+        ((0.5, 1.0, 1.0, "integral", math.nan), "target nan"),
+        ((0.5, 1.0, 1.0, "peak", math.inf), "target inf"),
+        ((0.5, 1.0, 2.0**-11, "integral"), "below the floor 0.0009765625"),
+        ((0.5, 1.0, 180.0, "peak"), "180.0, target 1.0: no finite scale"),
+        ((0.5, 1.0, 200.0, "peak"), "200.0, target 1.0: no finite scale"),
+        ((0.5, 1.0, 180.0, "integral"), "180.0, target 1.0: no finite scale"),
+    ],
+)
+def test_bump_rejects_bad_input(args, message):
+    """Infinite or NaN endpoints, an infinite width, a non-finite target, an
+    integral-normalized sharpness below the floor 2^-10 and a peak or
+    integral that underflows each raise one ValueError at construction."""
+    with pytest.raises(ValueError, match=message):
+        kernels.SmoothBump(*args)
+
+
+def test_bump_sharpness_floor_is_integral_only():
+    """The floor is the node count of the normalization: at the floor the
+    bump still builds, and a peak-normalized bump needs no integral."""
+    at_floor = kernels.SmoothBump(0.5, 1.0, sharpness=2.0**-10)
+    assert math.isfinite(at_floor._scale) and at_floor._scale > 0
+    assert kernels.SmoothBump(0.5, 1.0, 1e-6, "peak")(0.75) == pytest.approx(1.0)
 
 
 def test_bump_peak_normalization():
@@ -667,12 +722,12 @@ def _pinned_delta_values():
 
 
 # sha256 of _pinned_delta_values, joined by newlines, as written when the
-# shifted sums' amplitudes became one FFT folded onto u = |t| and their
-# gamma-sums strided sums: the decomposition and raw_zero lines are those
-# written when the weight rows became C_k - sum_j B_kj at k fl(1/Q), and
-# the nine SumReports moved by at most 4.9e-15 of |delta_value| (E4_5_4,
-# r = 2, X = 20, its coprime stratum)
-_DELTA_SHA256 = "387b1669ecb317f7159db5155e4c1e38361109a8832218a14569b8f4c0e4cbc5"
+# bump's normalization became the trapezoid rule: only the 25 raw_zero
+# lines at sharpness 1 moved, each by at most 4.5e-16 relative, with the
+# bump's scale one ulp closer to 1 / int w.  The other lines are those
+# written when the shifted sums' amplitudes became one FFT folded onto
+# u = |t| and their gamma-sums strided sums
+_DELTA_SHA256 = "c2814abbba6b22a744720baf050cd9128a898e22ae33dbf9eab0627b1ecbe6a3"
 
 
 def test_delta_values_unchanged():

@@ -232,14 +232,18 @@ def test_one_q_loop_for_the_delta_weight():
     assert callers <= allowed, sorted(callers - allowed, key=str)
 
 
-def test_each_bessel_integral_keeps_its_rule():
+def test_each_integral_keeps_its_rule():
     """In src/, kernels._sqrt_gauss_rule is called only by
     double_bessel_integral, whose 24- against 32-point error estimate needs
-    Gauss panels, and kernels._sqrt_trapezoid_rule only by
-    pipeline._dual_integrals, whose margin comes from its bumps' edges; so
-    neither integral drifts onto the other's rule."""
+    Gauss panels, and kernels._sqrt_trapezoid_rule only by the two bump
+    integrals, pipeline._dual_integrals and SmoothBump's normalization,
+    whose margin comes from the bumps' edges; so no integral drifts onto
+    the other rule."""
     assert _src_callers("_sqrt_gauss_rule") == {("kernels.py", "double_bessel_integral")}
-    assert _src_callers("_sqrt_trapezoid_rule") == {("pipeline.py", "_dual_integrals")}
+    assert _src_callers("_sqrt_trapezoid_rule") == {
+        ("pipeline.py", "_dual_integrals"),
+        ("kernels.py", "SmoothBump"),
+    }
 
 
 def test_only_the_scheme_calibrates_itself():
