@@ -15,12 +15,11 @@ Numerical conventions, fixed for reproducibility:
   fsum_q phi(q) C_q / Q^2 over q <= Q.  Every decomposition value is its
   raw sum divided by raw_zero, so the plain anchor is exactly 1;
 - every integral is taken in u = sqrt(y), where the Bessel phase is
-  linear, by one of two fixed rules: both bump integrals (the pipeline's
-  Voronoi dual integrals, a SmoothBump's normalization) by
-  _sqrt_trapezoid_rule, its step set by the largest frequency and the
-  bump's edge; the double integral by _sqrt_gauss_rule, Gauss-Legendre on
-  equal panels of at most 10 cycles, whose 24- against 32-point
-  difference is the error estimate.  Nothing adapts.
+  linear, by one fixed rule, _sqrt_trapezoid_rule, its step set by the
+  largest frequency and the bump's edge: the pipeline's Voronoi dual
+  integrals, a SmoothBump's normalization and, on each axis, the double
+  integral, whose error estimate is its distance from every other node.
+  Nothing adapts.
 """
 
 from __future__ import annotations
@@ -832,6 +831,7 @@ def delta_decompose_lowered(n, scheme: DeltaScheme):
 class QuadratureResult:
     value: float
     error_estimate: float
+    # the rule's cells: trapezoid steps on x times steps on y
     panels: int
 
 
@@ -871,32 +871,6 @@ def truncation_ranges(
     return t1, t2
 
 
-@lru_cache(maxsize=None)
-def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(n)
-
-
-def _sqrt_gauss_rule(
-    lo: float, hi: float, cycles: float, points: int
-) -> tuple[np.ndarray, float, np.ndarray]:
-    """The rule of the double Bessel integral: Gauss-Legendre in
-    u = sqrt(y), where the phase of J(c sqrt(y)) is linear, with `points`
-    nodes on each of max(6, ceil(cycles / 10)) equal panels of
-    [sqrt(lo), sqrt(hi)].  cycles counts the kernel's oscillations over the
-    interval, so every panel holds the same <= 10 of them; below 6 panels
-    the bumps' edges, not the oscillation, set the error.
-
-    Returns the nodes u, the half panel width and the Gauss weights tiled
-    per panel: int f(u) du ~ half sum weights f(u)."""
-    panels = max(6, math.ceil(cycles / 10.0))
-    nodes, weights = _leggauss(points)
-    edges = np.linspace(math.sqrt(lo), math.sqrt(hi), panels + 1)
-    mids = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1] - edges[0])
-    us = (mids[:, None] + half * nodes[None, :]).ravel()
-    return us, half, np.tile(weights, panels)
-
-
 # ln(2^53): where exp(-x) reaches float64's unit roundoff
 _LN_ULP = 53.0 * math.log(2.0)
 
@@ -904,10 +878,14 @@ _LN_ULP = 53.0 * math.log(2.0)
 def _sqrt_trapezoid_rule(
     lo: float, hi: float, frequency: float, sharpness: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The rule of every bump integral, int g(y) J(s sqrt(y)) dy for a
-    SmoothBump g on [lo, hi] with at least the given sharpness and every
-    s <= frequency: the trapezoid rule in u = sqrt(y).  A normalization takes
-    it at frequency 0 on [0, hi - lo]: N = ceil(ln(2^53)^2 / (2 pi sharpness)).
+    """The rule of every integral in the package, int g(y) J(s sqrt(y)) dy
+    for a SmoothBump g on [lo, hi] with at least the given sharpness and
+    every s <= frequency: the trapezoid rule in u = sqrt(y).  It has three
+    callers: pipeline._dual_integrals; SmoothBump's normalization, at
+    frequency 0 on [0, hi - lo], N = ceil(ln(2^53)^2 / (2 pi sharpness));
+    and double_bessel_integral on each axis.  There the delta weight's
+    factor is not band-limited, so the margin below does not cover it, and
+    the integral's nested estimate guards it.
 
     The integrand 2 u g(u^2) J(s u) vanishes to all orders at both ends and
     J(s u) is band-limited to |omega| <= s, so the rule's error is the
@@ -945,7 +923,6 @@ def double_bessel_integral(
     window: ProductBump,
     order: int,
     bump: SmoothBump,
-    abs_tol: float | None = None,
 ) -> QuadratureResult:
     """The double integral of (xy)^(-1/2) F(x/X, y/Y)
     g(q c / Q, (x - y + rM)/(P Q^2)) J_order(4 pi a sqrt(x))
@@ -954,45 +931,45 @@ def double_bessel_integral(
     In u = sqrt(x), v = sqrt(y) it is 4 int int fx(u^2/X) fy(v^2/Y)
     g(q c / Q, (u^2 - v^2 + rM)/(P Q^2)) J_order(4 pi a u) J_order(4 pi b v)
     du dv, and both Bessel phases are linear.  Each axis takes
-    _sqrt_gauss_rule, whose Gauss panels give the error estimate, with
-    cycles = 2 a (sqrt(x_hi) - sqrt(x_lo)) (b and y on the other), and the
-    weight is one delta_weight_array call on the tensor mesh.  The value
-    takes 32 points per panel; error_estimate is its distance from the same
-    panels at 24 points, and panels counts the tensor panels.
+    _sqrt_trapezoid_rule at frequency 4 pi a (4 pi b on y) and sharpness
+    min(1, fx.sharpness) (fy on y), and the weight is one
+    delta_weight_array call on the tensor mesh: the value is col @ g @ row
+    with per-axis factors (weights / u) f(u^2/scale) J(4 pi freq u).
+
+    The delta weight's factor is not band-limited, so the rule's margin
+    does not cover it; error_estimate is the distance from every other
+    node of each axis, weights doubled, itself a trapezoid rule because
+    the integrand vanishes to all orders at both ends.  panels counts the
+    rule's cells, steps on x times steps on y.
 
     NumericalFailure, carrying the value and the estimate, is raised when
-    the estimate exceeds abs_tol.
+    the estimate exceeds 1e-9 z_bound sqrt(XY) Q / (q c).
     """
     if a <= 0 or b <= 0:
         raise ValueError("a and b must be positive")
-    if abs_tol is None:
-        abs_tol = (
-            1e-9 * window.z_bound * math.sqrt(x_scale * y_scale) * q_cap / (q * c_scale)
+    tol = 1e-9 * window.z_bound * math.sqrt(x_scale * y_scale) * q_cap / (q * c_scale)
+
+    def axis(f, scale, freq):
+        """Squared nodes and weighted factors (weights / u) f(u^2/scale)
+        J(4 pi freq u) on one axis."""
+        frequency = 4.0 * math.pi * freq
+        us, weights = _sqrt_trapezoid_rule(
+            f.lo * scale, f.hi * scale, frequency, min(1.0, f.sharpness)
         )
-
-    def axis(f, scale, freq, points):
-        """Squared nodes, weighted factors half w f(u^2/scale) J(4 pi freq u)
-        and panel count on one axis."""
-        lo, hi = f.lo * scale, f.hi * scale
-        cycles = 2.0 * freq * (math.sqrt(hi) - math.sqrt(lo))
-        us, half, weights = _sqrt_gauss_rule(lo, hi, cycles, points)
         xs = us * us
-        jvals = bessel_j_array(order, 4.0 * math.pi * freq * us)
-        return xs, half * weights * f.value_array(xs / scale) * jvals, us.size // points
+        jvals = bessel_j_array(order, frequency * us)
+        return xs, weights / us * f.value_array(xs / scale) * jvals
 
-    def tensor_rule(points):
-        xs, col, x_panels = axis(window.fx, x_scale, a, points)
-        ys, row, y_panels = axis(window.fy, y_scale, b, points)
-        mesh = (xs[:, None] - ys[None, :] + r_shift) / (level * q_cap * q_cap)
-        gvals = delta_weight_array(q * c_scale / q_cap, mesh, bump)
-        return 4.0 * float(col @ gvals @ row), x_panels * y_panels
-
-    value, panels = tensor_rule(32)
-    estimate = abs(value - tensor_rule(24)[0])
-    if not estimate <= abs_tol:
+    xs, col = axis(window.fx, x_scale, a)
+    ys, row = axis(window.fy, y_scale, b)
+    mesh = (xs[:, None] - ys[None, :] + r_shift) / (level * q_cap * q_cap)
+    gvals = delta_weight_array(q * c_scale / q_cap, mesh, bump)
+    value = float(col @ gvals @ row)
+    estimate = abs(value - 4.0 * float(col[1::2] @ gvals[1::2, 1::2] @ row[1::2]))
+    if not estimate <= tol:
         raise NumericalFailure(
-            f"quadrature error estimate {estimate} exceeds tolerance {abs_tol}",
+            f"quadrature error estimate {estimate} exceeds tolerance {tol}",
             value,
             estimate,
         )
-    return QuadratureResult(value, estimate, panels)
+    return QuadratureResult(value, estimate, (xs.size + 1) * (ys.size + 1))

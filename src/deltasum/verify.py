@@ -582,7 +582,7 @@ def _riemann_reference(a, b, c, q, q_cap_v, level, r_shift, xs_, ys_, window, or
     return tot * (2 * xs_ / n) * (2 * ys_ / n)
 
 
-@_check("kernels.double-integral", "sqrt-Gauss double integral vs 1e6-cell midpoint grid")
+@_check("kernels.double-integral", "sqrt-trapezoid double integral vs 1e6-cell midpoint grid")
 def check_double_integral():
     bump = pipeline.default_delta_bump()
     window = pipeline.default_window()
@@ -657,8 +657,15 @@ def check_truncation_ranges():
 def check_shifted_pipeline():
     # each residual over its own spec's tolerance; pass while <= 1
     reps = [pipeline.shifted_sum_delta(spec) for spec in acceptance_specs()]
-    identity = [r.identity_residual / max(1e-6 * abs(r.direct_value), 1e-10) for r in reps]
-    partition = [r.partition_residual / (1e-8 * max(abs(r.delta_value), 1e-300)) for r in reps]
+    identity = [
+        r.identity_residual
+        / max(pipeline.IDENTITY_REL_TOL * abs(r.direct_value), pipeline.IDENTITY_ABS_TOL)
+        for r in reps
+    ]
+    partition = [
+        r.partition_residual / (pipeline.PARTITION_REL_TOL * max(abs(r.delta_value), 1e-300))
+        for r in reps
+    ]
     return _gate(
         worst_identity_residual_over_tolerance=(identity, 1.0),
         worst_partition_residual_over_tolerance=(partition, 1.0),

@@ -755,8 +755,7 @@ def test_double_integral_zero_window():
     )
     # a zero factor forces the parity of the whole product
     res = kernels.double_bessel_integral(
-        0.5, 0.5, 1, 1, 8.0, 1, 1.0, 4.0, 4.0, zero, 3, default_delta_bump(),
-        abs_tol=1e-10,
+        0.5, 0.5, 1, 1, 8.0, 1, 1.0, 4.0, 4.0, zero, 3, default_delta_bump()
     )
     assert res.value == 0.0
 
@@ -796,7 +795,7 @@ def _integral(params):
 
 # sha256 of the repr of (value, error_estimate, panels), one line per
 # parameter set
-_QUADRATURE_SHA256 = "9e0d75b8b4e510e995d624089b0366238507d07c604e83e4cb7480faf2cbb84f"
+_QUADRATURE_SHA256 = "5fd2cbfde2f9c32380ea42a64bc5d2bdb9b567e312ccafac2f854539788c9fc1"
 
 
 def test_double_integral_results_unchanged():
@@ -808,8 +807,10 @@ def test_double_integral_results_unchanged():
 
 
 def _refined_integral(params):
-    """The same integral on 64 Gauss points per panel and twice the panels
-    of each axis, built here from numpy's Gauss-Legendre nodes."""
+    """The same integral by a rule independent of the package's: 64
+    Gauss-Legendre points in sqrt(x) on 2 max(6, ceil(cycles / 10)) equal
+    panels per axis, cycles = 2 a (sqrt(x_hi) - sqrt(x_lo)), built here
+    from numpy's nodes."""
     a, b, c, q, q_cap_v, level, r_shift, xs_, ys_, order = params
     window = default_window()
     nodes, weights = np.polynomial.legendre.leggauss(64)
@@ -840,25 +841,38 @@ def test_double_integral_estimate_bounds_the_error():
 
 
 def test_double_integral_memory_is_bounded_by_the_pass():
-    """At a = b = 28 each axis has 10 panels, a 320 x 320 mesh for the
-    32-point rule; the weight's temporaries on it peak near 5.5 MB."""
+    """At a = b = 28 each axis takes the trapezoid rule's 247 steps, a
+    246 x 246 mesh; the weight's temporaries on it peak near 3 MB."""
+    window = default_window()
     tracemalloc.start()
     try:
         res = kernels.double_bessel_integral(
-            28.0, 28.0, 1, 1, 8.0, 1, 1.0, 4.0, 4.0, default_window(), 3,
-            default_delta_bump(),
+            28.0, 28.0, 1, 1, 8.0, 1, 1.0, 4.0, 4.0, window, 3, default_delta_bump()
         )
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert res.panels == 10 * 10
+    steps = [
+        kernels._sqrt_trapezoid_rule(f.lo * 4.0, f.hi * 4.0, 4 * math.pi * 28.0, 1.0)[0].size + 1
+        for f in (window.fx, window.fy)
+    ]
+    assert res.panels == steps[0] * steps[1] == 247 * 247
     assert peak < 8 * 2**20, peak
 
 
-def test_double_integral_failure_reports_estimate():
-    # order 11 on [sqrt 8, sqrt 40]: six panels per axis leave an error of
-    # about 2e-7 against a tolerance of 1.3e-7, and the estimate shows it
-    params = (2.0, 2.0, 1, 1, 8.0, 1, 1.0, 16.0, 16.0, 11)
+@pytest.mark.parametrize(
+    "params",
+    [
+        # order 11 on [sqrt 8, sqrt 40]: the delta weight's bands leave an
+        # error of 8.2e-8 against a tolerance of 1.3e-7, and the estimate
+        # of 1.2e-6 fails it
+        (2.0, 2.0, 1, 1, 8.0, 1, 1.0, 16.0, 16.0, 11),
+        # the same at a = b = 3: an error of 3.2e-9 under an estimate of
+        # 1.2e-6; the failure's estimate must bound its error here too
+        (3.0, 3.0, 1, 1, 8.0, 1, 1.0, 16.0, 16.0, 11),
+    ],
+)
+def test_double_integral_failure_reports_estimate(params):
     with pytest.raises(kernels.NumericalFailure, match="exceeds tolerance") as info:
         _integral(params)
     failure = info.value

@@ -232,18 +232,19 @@ def test_one_q_loop_for_the_delta_weight():
     assert callers <= allowed, sorted(callers - allowed, key=str)
 
 
-def test_each_integral_keeps_its_rule():
-    """In src/, kernels._sqrt_gauss_rule is called only by
-    double_bessel_integral, whose 24- against 32-point error estimate needs
-    Gauss panels, and kernels._sqrt_trapezoid_rule only by the two bump
-    integrals, pipeline._dual_integrals and SmoothBump's normalization,
-    whose margin comes from the bumps' edges; so no integral drifts onto
-    the other rule."""
-    assert _src_callers("_sqrt_gauss_rule") == {("kernels.py", "double_bessel_integral")}
+def test_every_integral_takes_the_trapezoid_rule():
+    """In src/, kernels._sqrt_trapezoid_rule is called by exactly the
+    package's three integrals: pipeline._dual_integrals, SmoothBump's
+    normalization and double_bessel_integral; and no file in src/ names a
+    Gauss rule, so no integral drifts off the one rule."""
     assert _src_callers("_sqrt_trapezoid_rule") == {
         ("pipeline.py", "_dual_integrals"),
         ("kernels.py", "SmoothBump"),
+        ("kernels.py", "double_bessel_integral"),
     }
+    for path in sorted((ROOT / "src" / "deltasum").glob("*.py")):
+        text = path.read_text()
+        assert "leggauss" not in text and "_sqrt_gauss_rule" not in text, path.name
 
 
 def test_only_the_scheme_calibrates_itself():
