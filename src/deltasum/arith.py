@@ -41,18 +41,16 @@ class NonInvertible(ValueError):
     """Raised when a residue has no multiplicative inverse."""
 
 
-# Miller-Rabin witnesses: the primes up to 41 leave no strong pseudoprime
-# below psi_13 = 3317044064679887385961981 (the primes up to 37 let
-# psi_12 = 318665857834031151167461 = 399165290221 * 798330580441 through)
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_LIMIT = 3317044064679887385961981
+# Miller-Rabin witnesses: no strong pseudoprime to the bases 2, 7 and 61
+# lies below 4759123141 > LIMIT (Jaeschke, Math. Comp. 61, 1993)
+_MR_WITNESSES = (2, 7, 61)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test for n < psi_13 =
-    3317044064679887385961981; ValueError at or above it."""
-    if n >= _MR_LIMIT:
-        raise ValueError(f"is_prime is deterministic only below {_MR_LIMIT}")
+    """Deterministic Miller-Rabin primality test on the domain n < LIMIT =
+    2^31; ValueError at or above it."""
+    if n >= LIMIT:
+        raise ValueError(f"is_prime requires n < 2^31, got {n}")
     if n < 2:
         return False
     for p in _MR_WITNESSES:

@@ -2,11 +2,7 @@
 
 The standard sum S(a, b; c) = sum over x mod c, gcd(x, c) = 1, of
 e((a x + b x^-1)/c) is evaluated by the numpy phase-histogram kernel in
-deltasum._backend. Built on top of it are the two concrete Kloosterman
-families produced by the plain and conductor-lowered delta decompositions:
-one carries the level inverted into the argument (the cusp-pair structure),
-the other absorbs the level into the modulus (the sum at the cusp at
-infinity). recombine_residues realizes the a + b*q recombination of
+deltasum._backend. recombine_residues realizes the a + b*q recombination of
 residues mod q*P, and coprime_residue_sum is the closed Ramanujan form of
 the additive-character sum over those residues.
 """
@@ -23,9 +19,7 @@ from .arith import LIMIT, factorize, gcd3, inverse_mod, tau
 __all__ = [
     "KloostermanValue",
     "coprime_residue_sum",
-    "cusp_pair_sum",
     "kloosterman",
-    "principal_cusp_sum",
     "ramanujan_divisors",
     "ramanujan_sum",
     "recombine_residues",
@@ -133,25 +127,6 @@ def twisted_multiplicativity(
         * kloosterman(m * inv1, n * inv1, c2).value
     )
     return left, right
-
-
-def cusp_pair_sum(r: int, m_shift: int, n: int, m: int, level: int, q: int) -> float:
-    """S(r*M, (n - m) * level^-1 mod q; q).
-
-    The family where the level stays attached to the argument, the structure
-    tied to the 0-infinity cusp pair. Requires gcd(level, q) = 1.
-    """
-    inv = inverse_mod(level, q)
-    return kloosterman(r * m_shift, (n - m) * inv, q).value
-
-
-def principal_cusp_sum(
-    r: int, m_shift: int, n: int, m: int, level: int, q: int
-) -> float:
-    """S(r*M, n - m; q*level), the standard sum at the cusp at infinity."""
-    if level < 1 or q < 1:
-        raise ValueError("level and q must be positive")
-    return kloosterman(r * m_shift, n - m, q * level).value
 
 
 def coprime_residue_sum(q: int, p: int, t):

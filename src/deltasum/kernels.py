@@ -281,44 +281,19 @@ def _hankel(order: int, xs: np.ndarray) -> np.ndarray:
     sin phi), each +-1, the sum is (A cos x + B sin x) / sqrt(2) for
     A = c P + s Q and B = s P - c Q.  cos x and sin x come from one
     t = tan(x / 2), x / 2 exact, as (1 - t^2, 2 t) / (1 + t^2), so the
-    phase is never rounded.  P and x Q run as one Horner pass over the two
-    rows of _hankel_terms; the rest is done in place in one four-row work
-    array, each product and sum rounded as the formula above writes it."""
+    phase is never rounded.  P and x Q run as one Horner pass in
+    z = 1 / x^2 over the two rows of _hankel_terms."""
     coeffs = _hankel_terms(order)[1]
-    work = np.empty((4, xs.size))
-    z, big_p, big_q, tt = work
-    np.multiply(xs, xs, out=z)
-    np.divide(1.0, z, out=z)
-    pq = work[1:3]
-    pq[...] = coeffs[:, :1]
+    z = 1.0 / (xs * xs)
+    pq = coeffs[:, :1]
     for k in range(1, coeffs.shape[1]):
-        pq *= z
-        pq += coeffs[:, k : k + 1]
-    big_q /= xs
+        pq = pq * z + coeffs[:, k : k + 1]
+    big_p, big_q = pq[0], pq[1] / xs
     c, s = _HANKEL_PHASE[order % 4]
-    # big_p, big_q become c P and s Q: A is their sum, and B = s P - c Q is
-    # c P - s Q when c = s and s Q - c P when c = -s, written over z
-    if c < 0:
-        np.negative(big_p, out=big_p)
-    if s < 0:
-        np.negative(big_q, out=big_q)
-    b = np.subtract(big_p, big_q, out=z) if c == s else np.subtract(big_q, big_p, out=z)
-    a = big_p
-    a += big_q
-    t = np.multiply(xs, 0.5, out=big_q)
-    np.tan(t, out=t)
-    np.multiply(t, t, out=tt)
-    t *= 2.0
-    b *= t
-    num = np.subtract(1.0, tt, out=t)
-    num *= a
-    num += b
-    tt += 1.0
-    root = np.multiply(xs, math.pi, out=a)
-    np.sqrt(root, out=root)
-    tt *= root
-    num /= tt
-    return num
+    a = c * big_p + s * big_q
+    b = s * big_p - c * big_q
+    t = np.tan(xs * 0.5)
+    return ((1.0 - t * t) * a + b * (2.0 * t)) / ((t * t + 1.0) * np.sqrt(xs * math.pi))
 
 
 def _bessel_miller(order: int, xs: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .arith import LIMIT, inverse_mod, is_squarefree
 from .characters import _root_table, enumerate_characters
-from .expsums import cusp_pair_sum, principal_cusp_sum, ramanujan_divisors
+from .expsums import kloosterman, ramanujan_divisors
 from .kernels import (
     DeltaScheme,
     ProductBump,
@@ -137,6 +137,11 @@ class ShiftedSumSpec:
         x, y = self.x_scale, self.y_scale
         if not (1 <= x < math.inf and 1 <= y < math.inf):  # a NaN fails too
             raise ValueError(f"scales X {x} and Y {y} must be finite and >= 1")
+        if self.q_scale <= 1:  # the delta scheme's Q, from q_cap
+            raise ValueError(
+                f"scales X {x} and Y {y} at level P {self.level} give "
+                f"Q = sqrt(8 max(X, Y) / P) = {self.q_scale}, which must exceed 1"
+            )
 
     @property
     def level(self) -> int:
@@ -375,21 +380,23 @@ def kloosterman_collapse(
     coprime stratum:          S(r M, m - n; P q)
     gamma-multiple stratum:   S(r M, (m - n) P^-1; q)
     modulus-multiple stratum: S(r M, m - n; P^2 q)
+
+    Each stratum is a modulus and a unit multiplying m - n; the closed side
+    is one kloosterman call on them.
     """
+    if level < 1 or q < 1:
+        raise ValueError("level and q must be positive")
     if stratum in (Stratum.COPRIME, Stratum.GAMMA) and gcd(q, level) != 1:
         raise ValueError("this stratum requires gcd(q, level) = 1")
-    # the modulus, the unit multiplying the inverse, and the closed form
     if stratum == Stratum.COPRIME:
         modulus, unit = q * level, 1
-        closed = principal_cusp_sum(r, m_shift, m, n, level, q)
     elif stratum == Stratum.GAMMA:
         modulus, unit = q, inverse_mod(level, q)
-        closed = cusp_pair_sum(r, m_shift, m, n, level, q)
     elif stratum == Stratum.MODULUS:
         modulus, unit = q * level * level, 1
-        closed = principal_cusp_sum(r, m_shift, m, n, level, q * level)
     else:
         raise ValueError(f"unknown stratum {stratum}")
+    closed = kloosterman(r * m_shift, (m - n) * unit, modulus).value
     roots = _root_table(modulus)
     phases = [
         roots[(r * m_shift * g + (m - n) * (inverse_mod(g, modulus) * unit)) % modulus]
@@ -576,19 +583,22 @@ def _lam_window(f: Newform, x_scale: float, h: SmoothBump) -> tuple[np.ndarray, 
     return ns, f.lam(ns) / np.sqrt(ns) * h.value_array(ns / x_scale)
 
 
-def _check_moment_args(f: Newform, modulus: int, x_scale: float) -> None:
+def _check_moment_args(f: Newform, modulus: int, x_scale: float, h: SmoothBump) -> None:
     if not math.isfinite(x_scale):
         raise ValueError(f"scale X {x_scale} must be finite")
     if gcd(modulus, f.level) != 1:
         raise ValueError("modulus must be coprime to the level")
     if not is_squarefree(modulus):
         raise ValueError("modulus must be squarefree")
+    lo, hi = _support_ends(h, x_scale)
+    if lo > hi:
+        raise ValueError(f"scale X {x_scale} leaves no n in the window ({h.lo} X, {h.hi} X)")
 
 
 def second_moment(f: Newform, modulus: int, x_scale: float, h: SmoothBump) -> float:
     """(1 / phi*(M)) sum over primitive chi of |sum lam(n) chi(n) n^-1/2
     h(n/X)|^2, by direct enumeration."""
-    _check_moment_args(f, modulus, x_scale)
+    _check_moment_args(f, modulus, x_scale, h)
     ns, vals = _lam_window(f, x_scale, h)
     chars = [c for c in enumerate_characters(modulus) if c.is_primitive]
     if not chars:
@@ -622,7 +632,7 @@ def gauss_square_opening(
     rhs = (1/(M phi*(M))) sum over primitive chi of
     |sum_b conj(chi(b)) T_b|^2. An exact identity, so lhs = rhs up to
     roundoff."""
-    _check_moment_args(f, modulus, x_scale)
+    _check_moment_args(f, modulus, x_scale, h)
     lhs = second_moment(f, modulus, x_scale, h)
     t_b, _ = residue_class_average(f, modulus, x_scale, h)
     residues = np.arange(modulus)
@@ -649,7 +659,7 @@ def diagonal_split(
 ) -> DiagonalSplit:
     """Split the congruence sum sum_{m = n mod M} into the diagonal m = n
     and the off-diagonal shifts m = n + r M, 0 < |r| <= ceil(5X/(2M))."""
-    _check_moment_args(f, modulus, x_scale)
+    _check_moment_args(f, modulus, x_scale, h)
     _, vals = _lam_window(f, x_scale, h)
     r_bound = int(math.ceil(5.0 * x_scale / (2.0 * modulus)))
     lags = [vals[: -r * modulus] * vals[r * modulus :] for r in range(1, r_bound + 1)]

@@ -152,13 +152,16 @@ def test_factorize_rejects_outside_the_domain(n):
         arith.factorize(n)
 
 
-def test_is_prime_at_the_witness_bound():
-    # psi_12 = 399165290221 * 798330580441 is a strong pseudoprime to every
-    # prime base up to 37; the witnesses hold only below psi_13
-    psi12 = 318665857834031151167461
-    assert psi12 == 399165290221 * 798330580441
-    assert not arith.is_prime(psi12)
-    assert arith.is_prime(2**61 - 1)
-    assert arith.is_prime(41) and not arith.is_prime(41 * 43)
-    with pytest.raises(ValueError):
-        arith.is_prime(3317044064679887385961981)
+def test_is_prime_matches_factorize_on_the_domain():
+    # no strong pseudoprime to the bases 2, 7 and 61 lies below 2^31, and
+    # factorize is exact there: every n < 10^5, seeded draws up to 2^31 and
+    # the largest prime in the domain
+    rng = random.Random(61)
+    draws = [rng.randrange(10**5, arith.LIMIT) for _ in range(20000)]
+    for n in [*range(1, 10**5), *draws, arith.LIMIT - 1]:
+        assert arith.is_prime(n) == (arith.factorize(n).factors == ((n, 1),)), n
+    # strong pseudoprimes to base 2 (the last also to bases 3 and 5)
+    for n in (2047, 1373653, 25326001):
+        assert not arith.is_prime(n)
+    with pytest.raises(ValueError, match=r"2\^31"):
+        arith.is_prime(arith.LIMIT)

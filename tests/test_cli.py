@@ -441,10 +441,13 @@ _REJECTED = [
     ("shifted", "X", ["--f1", "E2_11_2", "--M", "2", "--X", "inf"]),
     ("shifted", "X", ["--f1", "E2_11_2", "--M", "2", "--X", "nan"]),
     ("shifted", "Y", ["--f1", "E2_11_2", "--M", "2", "--X", "20", "--Y", "nan"]),
+    ("shifted", "Y", ["--f1", "E2_11_2", "--M", "29", "--r", "-3", "--X", "1.15", "--Y", "1"]),
     ("moment", "M", ["--form", "E2_11_2", "--X", "20", "--M", "0"]),
     ("moment", "M", ["--form", "E2_11_2", "--X", "20", "--M", "8193"]),
     ("moment", "X", ["--form", "E2_11_2", "--M", "7", "--X", "inf"]),
     ("moment", "X", ["--form", "E2_11_2", "--M", "7", "--X", "nan"]),
+    ("moment", "X", ["--form", "E2_11_2", "--M", "7", "--X", "0"]),
+    ("moment", "X", ["--form", "E2_11_2", "--M", "7", "--X", "-5"]),
     ("exponent", "eta", ["--eta", "-1"]),
     ("verify-all", "threads", ["--threads", "0"]),
 ]

@@ -55,35 +55,6 @@ def test_twisted_multiplicativity_rejects_common_factor():
         expsums.twisted_multiplicativity(1, 1, 4, 6)
 
 
-def test_cusp_pair_sum():
-    # degenerates to the Moebius value when n = m
-    assert expsums.cusp_pair_sum(1, 1, 5, 5, 5, 3) == pytest.approx(-1.0, abs=1e-12)
-    # direct 6-term evaluation of S(3, 3; 7): inverse of 5 mod 7 is 3
-    direct = sum(
-        cmath.exp(2j * cmath.pi * ((3 * x + 3 * pow(x, -1, 7)) % 7) / 7)
-        for x in range(1, 7)
-    ).real
-    assert expsums.cusp_pair_sum(1, 3, 2, 1, 5, 7) == pytest.approx(direct, abs=1e-9)
-    with pytest.raises(arith.NonInvertible):
-        expsums.cusp_pair_sum(1, 1, 0, 0, 3, 9)
-
-
-def test_principal_cusp_sum():
-    # r = 0 degenerates to a Ramanujan sum
-    assert expsums.principal_cusp_sum(0, 1, 5, 2, 5, 2) == pytest.approx(
-        expsums.ramanujan_sum(10, 3), abs=1e-9
-    )
-    # direct 4-term evaluation of S(3, 1; 10)
-    direct = sum(
-        cmath.exp(2j * cmath.pi * ((3 * x + pow(x, -1, 10)) % 10) / 10)
-        for x in (1, 3, 7, 9)
-    )
-    assert abs(direct.imag) < 1e-12
-    assert expsums.principal_cusp_sum(1, 3, 2, 1, 5, 2) == pytest.approx(
-        direct.real, abs=1e-9
-    )
-
-
 def test_ramanujan_sum_formula():
     # direct additive-sum oracle
     for q in range(1, 80):

@@ -8,7 +8,7 @@ from math import gcd
 import numpy as np
 import pytest
 
-from deltasum import modforms, pipeline, verify
+from deltasum import arith, modforms, pipeline, verify
 from deltasum.expsums import (
     coprime_residue_sum,
     kloosterman,
@@ -348,6 +348,39 @@ def test_kloosterman_collapse_examples():
     assert abs(direct) < 1e-12
 
 
+def test_gamma_stratum_collapse_hand_values():
+    # n = m leaves S(M, 0; 3), the Moebius value mu(3)
+    direct, closed = pipeline.kloosterman_collapse(Stratum.GAMMA, 1, 1, 5, 5, 5, 3)
+    assert closed == pytest.approx(arith.mobius(3), abs=1e-12)
+    assert abs(direct - closed) < 1e-8
+    # S(3, 5^-1; 7) = S(3, 3; 7), against its direct 6-term evaluation
+    direct_sum = sum(
+        cmath.exp(2j * cmath.pi * ((3 * x + 3 * pow(x, -1, 7)) % 7) / 7)
+        for x in range(1, 7)
+    ).real
+    direct, closed = pipeline.kloosterman_collapse(Stratum.GAMMA, 1, 3, 1, 2, 5, 7)
+    assert closed == kloosterman(3, 3, 7).value
+    assert closed == pytest.approx(direct_sum, abs=1e-9)
+    assert abs(direct - closed) < 1e-8
+
+
+def test_coprime_stratum_collapse_hand_values():
+    # r = 0 leaves S(0, 3; 10), the Ramanujan value c_10(3)
+    direct, closed = pipeline.kloosterman_collapse(Stratum.COPRIME, 0, 1, 2, 5, 5, 2)
+    assert closed == pytest.approx(ramanujan_sum(10, 3), abs=1e-9)
+    assert abs(direct - closed) < 1e-8
+    # S(3, 1; 10), against its direct 4-term evaluation
+    direct_sum = sum(
+        cmath.exp(2j * cmath.pi * ((3 * x + pow(x, -1, 10)) % 10) / 10)
+        for x in (1, 3, 7, 9)
+    )
+    assert abs(direct_sum.imag) < 1e-12
+    direct, closed = pipeline.kloosterman_collapse(Stratum.COPRIME, 1, 3, 1, 2, 5, 2)
+    assert closed == kloosterman(3, 1, 10).value
+    assert closed == pytest.approx(direct_sum.real, abs=1e-9)
+    assert abs(direct - closed) < 1e-8
+
+
 def test_kloosterman_collapse_random():
     """The registry row: 100 random tuples per stratum with q < 13,
     n, m < 60 and shift modulus in (1, 2, 3, 5, 6); 4 is left out because
@@ -359,6 +392,9 @@ def test_kloosterman_collapse_random():
 def test_kloosterman_collapse_rejects_shared_factor():
     with pytest.raises(ValueError):
         pipeline.kloosterman_collapse(Stratum.COPRIME, 1, 1, 1, 2, 5, 10)
+    # P = 3 has no inverse mod q = 9
+    with pytest.raises(ValueError):
+        pipeline.kloosterman_collapse(Stratum.GAMMA, 1, 1, 0, 0, 3, 9)
 
 
 def test_voronoi_unit_phase(delta_form):
