@@ -6,7 +6,8 @@ so enumeration order and value tables are identical across runs. The group
 holds one int64 table of discrete logs over the residues mod M (one column
 per cyclic factor, -1 on the non-units), built from generator powers.
 Character values are exact exponents k with chi(n) = e(k/ord), read from that
-table for whole arrays of n at once; complex numbers are materialized only at
+table for whole arrays of n at once (chi(n) is the one-element case); complex
+numbers are read from _root_table(N), the one array of e(k/N) per N, only at
 evaluation, which keeps multiplicativity checks exact.
 """
 
@@ -39,12 +40,15 @@ class NotCoprime(ValueError):
 
 
 @lru_cache(maxsize=512)
-def _root_table(order: int) -> tuple[complex, ...]:
-    """e(k / order) for k = 0 .. order - 1, the one table of roots of unity."""
-    return tuple(cmath.exp(2j * cmath.pi * k / order) for k in range(order))
+def _root_table(order: int) -> np.ndarray:
+    """e(k / order) for k = 0 .. order - 1, the one table of roots of unity:
+    cmath.exp's values as a read-only complex128 array."""
+    roots = np.array([cmath.exp(2j * cmath.pi * k / order) for k in range(order)])
+    roots.flags.writeable = False
+    return roots
 
 
-def _least_primitive_root(q: int, p: int) -> int:
+def _least_primitive_root(q: int) -> int:
     """Least primitive root mod q = p^e for odd prime p."""
     order = phi(q)
     prime_divs = [r for r, _ in factorize(order).factors]
@@ -92,7 +96,7 @@ class CharacterGroup:
                 else:
                     gens = [(q - 1, 2), (5, q // 4)]
             else:
-                gens = [(_least_primitive_root(q, p), phi(q))]
+                gens = [(_least_primitive_root(q), phi(q))]
             columns.append(_component_table(q, gens)[residues % q])
             orders.extend(s for _, s in gens)
         self.orders = tuple(orders)
@@ -101,7 +105,7 @@ class CharacterGroup:
         # logs[n] = discrete logs of n on every generator, -1 off the units
         self.logs = np.hstack(columns)
         self.logs[~self.units] = -1
-        self.roots = np.array(_root_table(self.order))
+        self.roots = _root_table(self.order)
         # logs of the units n = 1 (mod d), one block per divisor d of M,
         # stacked; n = 1 is in every block, so none is empty
         self._kernel_divisors = divisors(self.factorization)
@@ -160,13 +164,9 @@ class DirichletCharacter:
         return np.where(k >= 0, self.group.roots[k], 0)
 
     def __call__(self, n: int) -> complex:
-        """chi(n) for one integer n: the value of values(n), read from the
-        group's tables without building arrays."""
-        g = self.group
-        res = n % g.modulus
-        if not g.units[res]:
-            return 0j
-        return g.roots.item(int(g.logs[res].dot(self._weights)) % g.order)
+        """chi(n) for one integer n: the one-element case of values, on n
+        reduced mod M first, so any Python int is accepted."""
+        return complex(self.values(n % self.modulus))
 
     def conjugate(self) -> DirichletCharacter:
         """The complex-conjugate character (indices negated)."""
@@ -207,7 +207,7 @@ def enumerate_characters(modulus: int) -> list[DirichletCharacter]:
 def gauss_sum(chi: DirichletCharacter) -> complex:
     """tau(chi) = sum_b chi(b) e(b/M), via exactly rounded summation."""
     vals = chi.values(np.arange(chi.modulus))
-    adds = np.array(_root_table(chi.modulus))
+    adds = _root_table(chi.modulus)
     re_terms = vals.real * adds.real - vals.imag * adds.imag
     im_terms = vals.real * adds.imag + vals.imag * adds.real
     return complex(math.fsum(re_terms), math.fsum(im_terms))
@@ -239,11 +239,7 @@ def orthogonality_sum(modulus: int, n: int, m: int) -> int:
 
 def additive_orthogonality_sum(modulus: int, n: int, m: int) -> complex:
     """sum_b e(b(n-m)/M), compensated; equals M exactly when M | n - m."""
-    roots = _root_table(modulus)
-    re_terms = []
-    im_terms = []
-    for b in range(modulus):
-        z = roots[b * (n - m) % modulus]
-        re_terms.append(z.real)
-        im_terms.append(z.imag)
-    return complex(math.fsum(re_terms), math.fsum(im_terms))
+    if modulus < 1:
+        raise ValueError("modulus must be positive")
+    z = _root_table(modulus)[np.arange(modulus) * ((n - m) % modulus) % modulus]
+    return complex(math.fsum(z.real.tolist()), math.fsum(z.imag.tolist()))

@@ -44,10 +44,6 @@ def weil_bound(a: int, b: int, c: int) -> float:
     return tau(c) * math.sqrt(gcd3(a, b, c)) * math.sqrt(c)
 
 
-def _brute_value(a: int, b: int, c: int) -> tuple[float, float]:
-    return kloosterman_raw(a % c, b % c, c)
-
-
 def _crt_value(a: int, b: int, c: int) -> tuple[float, float]:
     """Prime-power split via twisted multiplicativity; flag-gated fast path."""
     re = 1.0
@@ -55,7 +51,7 @@ def _crt_value(a: int, b: int, c: int) -> tuple[float, float]:
     for p, e in factorize(c).factors:
         q = p**e
         inv = inverse_mod(c // q, q)
-        fre, fim = _brute_value(a * inv, b * inv, q)
+        fre, fim = kloosterman_raw(a * inv % q, b * inv % q, q)
         re *= fre
         im_max = max(im_max, abs(fim))
     return re, im_max
@@ -72,7 +68,7 @@ def kloosterman(a: int, b: int, c: int, use_crt: bool = False) -> KloostermanVal
     if use_crt and len(factorize(c).factors) > 1:
         re, im = _crt_value(a, b, c)
     else:
-        re, im = _brute_value(a, b, c)
+        re, im = kloosterman_raw(a % c, b % c, c)
     return KloostermanValue(
         a=a,
         b=b,
@@ -141,21 +137,14 @@ def coprime_residue_sum(q: int, p: int, t):
 
 
 def recombine_residues(q: int, p: int) -> list[int]:
-    """Residues gamma mod q*p with gcd(gamma, q) = 1, realized as a + b*q.
+    """Residues gamma mod q*p with gcd(gamma, q) = 1, as a + b*q, sorted.
 
     gamma = a + b q with 0 <= a < q and 0 <= b < p is a bijection onto Z/qp
     for every q and p (a is gamma mod q, then b = (gamma - a)/q), and
     gcd(gamma, q) = gcd(a, q). So {a + b q : a coprime to q} is exactly the
-    coprime residues, whether or not gcd(q, p) = 1; the construction is
-    checked against the direct coprimality filter.
+    coprime residues, whether or not gcd(q, p) = 1; the verify-all row
+    expsums.recombination checks the set against the gcd filter.
     """
     if q < 1 or p < 1:
         raise ValueError("q and p must be positive")
-    qp = q * p
-    built = sorted(
-        (a + b * q) % qp for a in range(q) if gcd(a, q) == 1 for b in range(p)
-    )
-    direct = [g for g in range(qp) if gcd(g, q) == 1]
-    if built != direct:
-        raise ArithmeticError("residue recombination failed internal check")
-    return direct
+    return sorted(a + b * q for a in range(q) if gcd(a, q) == 1 for b in range(p))

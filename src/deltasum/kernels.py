@@ -31,8 +31,9 @@ from functools import lru_cache
 
 import numpy as np
 
+# read by perfbench only, for the cache hits of the unit and root tables
+from ._backend import _units as _coprime_residues
 from .arith import LIMIT, is_prime
-# nothing here reads _unit_roots: perfbench reports its cache hits by this name
 from .characters import _root_table as _unit_roots
 from .expsums import coprime_residue_sum
 
@@ -649,8 +650,8 @@ class DeltaScheme:
     raw_zero: float = field(init=False)
 
     def __post_init__(self):
-        if self.q_scale <= 1:
-            raise ValueError("Q must exceed 1")
+        if not 1 < self.q_scale < math.inf:
+            raise ValueError("Q must be finite and exceed 1")
         if self.level != 1 and not (self.level < LIMIT and is_prime(self.level)):
             raise ValueError(f"level P {self.level} must be 1 or a prime below 2^31")
         object.__setattr__(self, "raw_zero", calibrate(self))
@@ -773,11 +774,6 @@ def delta_decompose(n, scheme: DeltaScheme):
     if scheme.level != 1:
         raise ValueError("plain decomposition requires a level-1 scheme")
     return _decompose(n, scheme)
-
-
-@lru_cache(maxsize=512)
-def _coprime_residues(q: int) -> tuple[int, ...]:
-    return tuple(a for a in range(q) if math.gcd(a, q) == 1)
 
 
 def delta_decompose_lowered(n, scheme: DeltaScheme):

@@ -17,6 +17,7 @@ from math import gcd
 
 import numpy as np
 
+from ._backend import _units
 from .arith import LIMIT, inverse_mod, is_squarefree
 from .characters import _root_table, enumerate_characters
 from .expsums import kloosterman, ramanujan_divisors
@@ -25,7 +26,6 @@ from .kernels import (
     ProductBump,
     SmoothBump,
     Stratum,
-    _coprime_residues,
     _sqrt_trapezoid_rule,
     _weight_columns,
     bessel_j_sums,
@@ -381,8 +381,10 @@ def kloosterman_collapse(
     gamma-multiple stratum:   S(r M, (m - n) P^-1; q)
     modulus-multiple stratum: S(r M, m - n; P^2 q)
 
-    Each stratum is a modulus and a unit multiplying m - n; the closed side
-    is one kloosterman call on them.
+    Each stratum is a modulus c and a unit multiplying m - n; the closed
+    side is one kloosterman call on them.  The direct side gathers e(k/c)
+    at (a x + b x^-1) mod c over the kernel's units x of _backend._units(c),
+    with a = r M and b = (m - n) unit reduced mod c so products stay < 2^62.
     """
     if level < 1 or q < 1:
         raise ValueError("level and q must be positive")
@@ -397,12 +399,10 @@ def kloosterman_collapse(
     else:
         raise ValueError(f"unknown stratum {stratum}")
     closed = kloosterman(r * m_shift, (m - n) * unit, modulus).value
-    roots = _root_table(modulus)
-    phases = [
-        roots[(r * m_shift * g + (m - n) * (inverse_mod(g, modulus) * unit)) % modulus]
-        for g in _coprime_residues(modulus)
-    ]
-    direct = complex(math.fsum(z.real for z in phases), math.fsum(z.imag for z in phases))
+    a, b = r * m_shift % modulus, (m - n) * unit % modulus
+    x, x_inv = _units(modulus)
+    phases = _root_table(modulus)[(a * x + b * x_inv) % modulus]
+    direct = complex(math.fsum(phases.real.tolist()), math.fsum(phases.imag.tolist()))
     return direct, closed
 
 
@@ -480,7 +480,7 @@ def _dual_side(
     im_terms: list[list[float]] = [[] for _ in hs]
     n_used = [0] * len(hs)
     quiet_blocks = [0] * len(hs)
-    roots = np.array(_root_table(q))
+    roots = _root_table(q)
     start = 1
     while any(quiet < 2 for quiet in quiet_blocks):
         if start > f.bound:
@@ -513,7 +513,7 @@ def _dual_side(
 def _twisted_partial_sum(f: Newform, a: int, q: int, h: SmoothBump) -> complex:
     ns = _support(h, 1, f)
     terms = f.lam(ns) * h.value_array(ns)
-    phases = np.array(_root_table(q))[(a * ns) % q]
+    phases = _root_table(q)[(a * ns) % q]
     return complex(math.fsum(terms * phases.real), math.fsum(terms * phases.imag))
 
 

@@ -366,17 +366,21 @@ def _cos_sums(ts: np.ndarray, gammas: np.ndarray, modulus: int) -> np.ndarray:
 
 @_check("expsums.recombination", "a + b q recombination and the closed forms of its gamma-sums")
 def check_residue_recombination():
-    """The a + b q construction of the gamma set, and the literal cosine
-    sums over it against their closed Ramanujan forms for |t| <= 60: the
-    whole sum on every (q, p), the coprime and gamma-multiple strata where
-    p is a prime not dividing q."""
+    """The a + b q gamma set against the gcd filter of [0, q p), which the
+    cosine sums, of period q p in gamma, cannot replace; and the literal
+    cosine sums over it against their closed Ramanujan forms for |t| <= 60:
+    the whole sum on every (q, p), the coprime and gamma-multiple strata
+    where p is a prime not dividing q."""
     ts = np.arange(-60, 61, dtype=np.int64)
     gaps = []
     for q, p in ((1, 3), (2, 3), (4, 5), (9, 11), (12, 7), (25, 4), (6, 4)):
-        gammas = np.array(expsums.recombine_residues(q, p), dtype=np.int64)
+        qp = q * p
+        gammas = expsums.recombine_residues(q, p)
+        if sorted(gammas) != [g for g in range(qp) if gcd(g, q) == 1]:
+            return FAIL, f"set differs from the gcd filter at (q,p)=({q},{p})"
+        gammas = np.array(gammas, dtype=np.int64)
         if len(gammas) != arith.phi(q) * p:
             return FAIL, f"cardinality at (q,p)=({q},{p})"
-        qp = q * p
         pairs = [(_cos_sums(ts, gammas, qp), expsums.coprime_residue_sum(q, p, ts))]
         if arith.is_prime(p) and gcd(q, p) == 1:
             coprime = gammas % p != 0
@@ -385,7 +389,7 @@ def check_residue_recombination():
         gaps += [np.abs(literal - closed).max() for literal, closed in pairs]
     return _gate(
         "|t| <= 60",
-        "set equality verified inside the constructor",
+        "set checked against the gcd filter",
         worst_literal_minus_closed=(gaps, 1e-9),
     )
 

@@ -129,6 +129,12 @@ def test_additive_orthogonality(modulus, n, m):
         assert abs(total) <= 1e-12 * modulus
 
 
+def test_additive_orthogonality_rejects_nonpositive_modulus():
+    for modulus in (0, -3):
+        with pytest.raises(ValueError, match="modulus must be positive"):
+            characters.additive_orthogonality_sum(modulus, 1, 2)
+
+
 def test_enumeration_stability():
     for m in (45, 56):
         first = [
@@ -205,11 +211,15 @@ def test_values_match_calls_and_generator_powers(modulus):
         values = chi.values(ns)
         exps = chi.exponents(ns)
         for n, v, k in zip(ns.tolist(), values.tolist(), exps.tolist()):
-            z = chi(n)
-            assert repr(v) == repr(z)  # bit for bit, signed zeros included
             logs = reference(n)
             if logs is None:
-                assert k == -1 and z == 0
+                assert k == -1 and v == 0
             else:
                 expect = sum(j * t * (e // s) for j, t, s in zip(chi.index, logs, group.orders))
                 assert k == expect % e
+        # chi(n) is values' one-element case: a unit, a non-unit once M > 1
+        # and a negative n, bit for bit, signed zeros included; an n past
+        # int64 is reduced mod M first
+        for n in (1, modulus, -1):
+            assert repr(chi(n)) == repr(values[n + 2 * modulus].item())
+            assert repr(chi(n + modulus * 2**70)) == repr(chi(n))

@@ -605,6 +605,9 @@ def test_scheme_validation():
         kernels.DeltaScheme(0.5, 1, default_delta_bump())
     with pytest.raises(ValueError):
         kernels.DeltaScheme(10.0, 4, default_delta_bump())
+    for q_scale in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="Q"):
+            kernels.DeltaScheme(q_scale, 1, default_delta_bump())
 
 
 def test_calibration_window():

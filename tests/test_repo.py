@@ -1,12 +1,14 @@
 """Repository hygiene."""
 
 import ast
+import cmath
 import importlib
 import importlib.util
 import shutil
 import subprocess
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -262,6 +264,25 @@ def test_only_the_scheme_calibrates_itself():
                     name = getattr(node, "name", None)
                     callers.add((path.name, name if node is top else f"{top.name}.{name}"))
     assert callers == {("kernels.py", "DeltaScheme.__post_init__")}, sorted(callers, key=str)
+
+
+def test_one_table_of_units_and_of_roots():
+    """The units mod c and their inverses are tabulated only by
+    _backend._units, and e(k/N) only by characters._root_table, a
+    read-only complex128 array of cmath.exp's values that its readers
+    index as it is; kernels' names for them, which the benchmark reads,
+    are the same cached functions."""
+    from deltasum import _backend, characters, kernels
+
+    assert kernels._coprime_residues is _backend._units
+    assert kernels._unit_roots is characters._root_table
+    for n in (1, 2, 7, 12, 360, 1452):
+        roots = characters._root_table(n)
+        assert roots.dtype == np.complex128 and not roots.flags.writeable, n
+        exact = [cmath.exp(2j * cmath.pi * k / n) for k in range(n)]
+        assert [repr(z) for z in roots.tolist()] == [repr(z) for z in exact], n
+    for path in sorted((ROOT / "src" / "deltasum").glob("*.py")):
+        assert "np.array(_root_table(" not in path.read_text(), path.name
 
 
 def test_crt_flag_check_takes_the_crt_path():

@@ -31,6 +31,20 @@ def test_crt_flag_row_fails_on_nan(monkeypatch):
     assert row.status == "FAIL" and "worst_deviation nan" in row.detail
 
 
+def test_recombination_row_checks_the_set(monkeypatch):
+    # moving one gamma by q p keeps its class mod q p and the count, so the
+    # periodic cosine sums cannot see it; the set comparison must
+    recombine = expsums.recombine_residues
+
+    def moved(q, p):
+        gammas = recombine(q, p)
+        return gammas[:-1] + [gammas[-1] + q * p]
+
+    monkeypatch.setattr(expsums, "recombine_residues", moved)
+    row = verify.check_residue_recombination()
+    assert row.status == "FAIL" and "gcd filter" in row.detail
+
+
 def test_moment_slope_row_shows_nan(monkeypatch):
     strength = verify._shift_strength
     monkeypatch.setattr(
