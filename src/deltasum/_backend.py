@@ -35,7 +35,7 @@ def _units(c: int) -> tuple[np.ndarray, np.ndarray]:
     for p, _ in factorize(c).factors:
         coprime[::p] = False
     x = np.flatnonzero(coprime).astype(np.int64, copy=False)
-    inv = np.ones_like(x)
+    inv = np.full_like(x, 1 % c)  # c = 1: the inverse of 0 is 0, in [0, c)
     base = x.copy()
     e = x.size - 1
     while e:

@@ -250,15 +250,22 @@ def builtin_form(form_id: str, bound: int = 3000) -> Newform:
 
 def hecke_residual_exact(f: Newform, m: int, n: int) -> int:
     """Integer form: |a(m) a(n) - sum_d d^(k-1) a(m n / d^2)|, zero for a
-    genuine eigenform."""
+    genuine eigenform.  With gcd(m, n) = 1 the sum is its d = 1 term."""
     if gcd(n, f.level) != 1:
         raise ValueError("n must be coprime to the level")
-    lhs = f.a(m) * f.a(n)
+    # m, n >= 1 and m n within the bound puts every index read below in range
+    if not (m >= 1 and n >= 1 and m * n <= f.bound):
+        bad = m * n if m >= 1 and n >= 1 else min(m, n)
+        raise InsufficientCoefficients(f"{f.form_id}: a({bad}) beyond stored bound {f.bound}")
+    a = f.coefficients
+    g = gcd(m, n)
+    if g == 1:
+        return abs(a[m] * a[n] - a[m * n])
     rhs = 0
-    for d in divisors(gcd(m, n)):
+    for d in divisors(g):
         if gcd(d, f.level) == 1:
-            rhs += d ** (f.weight - 1) * f.a(m * n // (d * d))
-    return abs(lhs - rhs)
+            rhs += d ** (f.weight - 1) * a[m * n // (d * d)]
+    return abs(a[m] * a[n] - rhs)
 
 
 def deligne_ok(f: Newform, n: int) -> bool:

@@ -3,12 +3,12 @@ deterministic rows.
 
 Each check is declared once, by ``@_check(name, label)`` on a body that
 returns ``(status, detail)`` with status PASS, FAIL, or MONITOR
-(informational, never gating); the decorated ``check_*`` returns the full
-CheckResult, and REGISTRY is built in declaration order. Checks are pure
-and independent, so the suite may fan out across worker threads; results
-are reported in registration order regardless of scheduling, and all
-reported numbers are deterministic, which makes repeated runs
-byte-identical.
+(informational, never gating), or raises an ArithmeticError, which FAILs
+the row; the decorated ``check_*`` returns the full CheckResult, and
+REGISTRY is built in declaration order. Checks are pure and independent,
+so the suite may fan out across worker threads; results are reported in
+registration order regardless of scheduling, and all reported numbers are
+deterministic, which makes repeated runs byte-identical.
 """
 
 from __future__ import annotations
@@ -45,14 +45,19 @@ REGISTRY: tuple[tuple[str, Callable[[], CheckResult]], ...] = ()
 def _check(name: str, label: str):
     """Declare a check: the body returns (status, detail), the bound
     ``check_*`` returns CheckResult(name, label, status, detail), and
-    (name, check) is appended to REGISTRY."""
+    (name, check) is appended to REGISTRY.  An ArithmeticError raised in
+    the body (PipelineMismatch, NumericalFailure, ...) is the row's FAIL,
+    with detail 'TypeName: message'; any other exception propagates."""
 
     def register(body: Callable[[], tuple[str, str]]) -> Callable[[], CheckResult]:
         global REGISTRY
 
         @functools.wraps(body)
         def check() -> CheckResult:
-            return CheckResult(name, label, *body())
+            try:
+                return CheckResult(name, label, *body())
+            except ArithmeticError as exc:  # its message carries the diagnostic fields
+                return CheckResult(name, label, FAIL, f"{type(exc).__name__}: {exc}")
 
         REGISTRY += ((name, check),)
         return check
@@ -140,7 +145,7 @@ def check_divisor_identities():
 @_check("arith.phi-star", "primitive character count vs divisor formula")
 def check_phi_star_oracle():
     for m in range(1, 201):
-        brute = sum(1 for c in characters.enumerate_characters(m) if c.is_primitive)
+        brute = int(np.count_nonzero(characters._group(m).conductors == m))
         if brute != arith.phi_star(m):
             return FAIL, f"mismatch at M={m}: {brute} vs {arith.phi_star(m)}"
     return PASS, "M <= 200"
@@ -564,26 +569,32 @@ _J_CASES = (
 
 
 def _riemann_reference(a, b, c, q, q_cap_v, level, r_shift, xs_, ys_, window, order, bump, n=1000):
-    xs = np.linspace(xs_ / 2, 5 * xs_ / 2, n, endpoint=False) + (2 * xs_) / n / 2
-    ys = np.linspace(ys_ / 2, 5 * ys_ / 2, n, endpoint=False) + (2 * ys_) / n / 2
-    fx = window.fx.value_array(xs / xs_)
-    fy = window.fy.value_array(ys / ys_)
-    jx = kernels.bessel_j_array(order, 4 * math.pi * a * np.sqrt(xs))
-    jy = kernels.bessel_j_array(order, 4 * math.pi * b * np.sqrt(ys))
-    col = fx * jx / np.sqrt(xs)
-    row = fy * jy / np.sqrt(ys)
-    tot = 0.0
-    # the weight of a block of grid rows in one call; one dot per row
-    block = max(1, kernels._CHUNK // n)
-    for start in range(0, n, block):
-        g = kernels.delta_weight_array(
-            q * c / q_cap_v,
-            (xs[start : start + block, None] - ys + r_shift) / (level * q_cap_v**2),
-            bump,
-        )
-        for i, g_row in enumerate(g, start):
-            tot += col[i] * float(np.dot(g_row, row))
-    return tot * (2 * xs_ / n) * (2 * ys_ / n)
+    """The midpoint rule on [X/2, 5X/2] x [Y/2, 5Y/2] with one step
+    h = 2 min(X, Y) / n on both axes, so the shorter axis has n cells.
+
+    On a common step x_i - y_j = (X - Y)/2 + (i - j) h depends on the lag
+    k = i - j alone, so the double sum is sum_k g(k) C_k: the weight at the
+    lags, one delta_weight_array call, against the lag sums
+    C_k = sum_(i - j = k) col_i row_j, one direct np.convolve.
+    """
+    h = 2 * min(xs_, ys_) / n
+    nx, ny = round(2 * xs_ / h), round(2 * ys_ / h)
+    if not (math.isclose(nx * h, 2 * xs_) and math.isclose(ny * h, 2 * ys_)):
+        raise ValueError(f"no common step: 2X/h = {2 * xs_ / h}, 2Y/h = {2 * ys_ / h}")
+    xs = xs_ / 2 + (np.arange(nx) + 0.5) * h
+    ys = ys_ / 2 + (np.arange(ny) + 0.5) * h
+    col = window.fx.value_array(xs / xs_) * kernels.bessel_j_array(
+        order, 4 * math.pi * a * np.sqrt(xs)
+    ) / np.sqrt(xs)
+    row = window.fy.value_array(ys / ys_) * kernels.bessel_j_array(
+        order, 4 * math.pi * b * np.sqrt(ys)
+    ) / np.sqrt(ys)
+    # lags k = -(ny - 1) .. nx - 1, in np.convolve's output order
+    lags = np.arange(1 - ny, nx)
+    g = kernels.delta_weight_array(
+        q * c / q_cap_v, ((xs_ - ys_) / 2 + lags * h + r_shift) / (level * q_cap_v**2), bump
+    )
+    return math.fsum((g * np.convolve(col, row[::-1])).tolist()) * h * h
 
 
 @_check("kernels.double-integral", "sqrt-trapezoid double integral vs 1e6-cell midpoint grid")

@@ -62,7 +62,8 @@ def test_kernel_edge_cases():
 
 def test_unit_tables_are_the_gcd_filter():
     """_units(c) strikes the multiples of c's primes out of [0, c): the same
-    int64 residues as the literal gcd filter, each with its inverse."""
+    int64 residues as the literal gcd filter, each with its inverse in
+    [0, c) (at c = 1 the unit 0 is its own inverse)."""
     for c in range(1, 3001):
         x, inv = _units(c)
         ref = np.arange(c, dtype=np.int64)
@@ -70,4 +71,5 @@ def test_unit_tables_are_the_gcd_filter():
         assert x.dtype == inv.dtype == np.int64, c
         assert np.array_equal(x, ref), c
         assert np.all(x * inv % c == 1 % c), c
+        assert np.all((0 <= inv) & (inv < c)), c
         assert not (x.flags.writeable or inv.flags.writeable), c

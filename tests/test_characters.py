@@ -2,6 +2,7 @@ import cmath
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -154,6 +155,46 @@ def test_primitive_count_matches_phi_star():
         assert len(chars) == arith.phi(m)
         assert sum(c.is_primitive for c in chars) == arith.phi_star(m)
         assert sum(c.is_principal for c in chars) == 1
+
+
+def test_conductor_table_is_the_definition():
+    """For every M <= 200 the group's conductor of each character is the
+    least d | M with chi(n) = 1 for every unit n = 1 (mod d), read from
+    chi.values; a character reads its own row of the table."""
+    for m in range(1, 201):
+        group = characters.CharacterGroup(m)
+        units = [n for n in range(m) if math.gcd(n, m) == 1]
+        kernels = [[n for n in units if n % d == 1 % d] for d in arith.divisors(m)]
+        for row, chi in enumerate(group.characters()):
+            values = chi.values(np.arange(m))
+            expect = next(
+                d for d, kernel in zip(arith.divisors(m), kernels) if np.all(values[kernel] == 1)
+            )
+            assert group.conductors[row] == chi.conductor == expect, (m, chi.index)
+        assert not group.conductors.flags.writeable
+
+
+def test_conductor_table_peak_memory():
+    """The conductor table is built a few characters at a time: at
+    M = 1021 the whole (kernel row x character) matrix would take 8.3 MB
+    as int64, and the traced peak stays within three chunks of
+    _TABLE_CELLS int64 cells plus the table itself."""
+    group = characters.CharacterGroup(1021)
+    group.weights
+    tracemalloc.start()
+    try:
+        group.conductors
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 8 * characters._TABLE_CELLS + 2 * 8 * 1020, peak
+
+
+def test_index_outside_the_orders_is_rejected():
+    group = characters.CharacterGroup(12)  # orders (2, 2)
+    for index in ((0, 2), (-1, 0), (0,), (0, 0, 0)):
+        with pytest.raises(ValueError, match="index"):
+            characters.DirichletCharacter(group=group, index=index)
 
 
 def test_conjugate_character():

@@ -286,6 +286,29 @@ def test_verify_all_exit_status_on_failure(monkeypatch):
     assert "FAIL" in out
 
 
+def test_verify_all_writes_every_row_past_a_numerical_failure(monkeypatch):
+    """A row that raises an ArithmeticError is that row's FAIL: verify-all
+    writes both rows and exits 1, not 3."""
+    from deltasum import kernels, verify
+
+    monkeypatch.setattr(verify, "REGISTRY", ())
+
+    @verify._check("demo.raises", "raises NumericalFailure")
+    def raises():
+        raise kernels.NumericalFailure("quadrature did not converge", 0.5, 1e-3)
+
+    @verify._check("demo.passes", "passes")
+    def passes():
+        return "PASS", "fine"
+
+    status, out = _run(["verify-all"])
+    assert status == 1
+    assert out.splitlines()[2:] == [
+        "demo.raises,raises NumericalFailure,FAIL,NumericalFailure: quadrature did not converge",
+        "demo.passes,passes,PASS,fine",
+    ]
+
+
 def test_kloosterman_sweep_deterministic():
     args = ["kloosterman", "--cmax", "40", "--samples", "3", "--seed", "11"]
     _, first = _run(args)

@@ -316,6 +316,18 @@ def test_hecke_residual_examples(all_forms):
     assert modforms.hecke_residual_exact(e, 11, 2) == 0
 
 
+def test_hecke_residual_range_check(all_forms):
+    """One range check covers m, n and m n: m n past the bound, or m or n
+    below 1, raises before any coefficient is read."""
+    d = all_forms["Delta_1_12"]
+    assert modforms.hecke_residual_exact(d, 2, d.bound // 2) == 0
+    with pytest.raises(modforms.InsufficientCoefficients, match=rf"a\({2 * (d.bound // 2 + 1)}\)"):
+        modforms.hecke_residual_exact(d, 2, d.bound // 2 + 1)
+    for m, n in ((0, 5), (5, 0), (-2, -3)):
+        with pytest.raises(modforms.InsufficientCoefficients):
+            modforms.hecke_residual_exact(d, m, n)
+
+
 def test_level_coefficient_square():
     row = verify.check_level_coefficient()
     assert row.status == "MONITOR", row.detail

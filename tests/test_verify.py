@@ -1,9 +1,13 @@
-"""The verify-all rows: a declared check returns its full row, and a NaN
-among a gated row's values fails it."""
+"""The verify-all rows: a declared check returns its full row, a NaN
+among a gated row's values fails it, and a numerical failure raised in a
+row is that row's FAIL."""
 
 import math
 
-from deltasum import expsums, modforms, pipeline, verify
+import numpy as np
+import pytest
+
+from deltasum import expsums, kernels, modforms, pipeline, verify
 
 
 def test_eta_determinism_fail_row(monkeypatch):
@@ -54,3 +58,52 @@ def test_moment_slope_row_shows_nan(monkeypatch):
     )
     row = verify.check_moment_slope()
     assert row.status == "MONITOR" and "Delta_1_12: slope=nan constant=nan" in row.detail
+
+
+def test_lag_reference_is_the_cell_by_cell_midpoint_sum():
+    """The double-integral reference, summed by lag, against the literal
+    midpoint double sum over every cell of the same 240 x 200 grid."""
+    a, b, c, q, q_cap, level, r_shift, x_scale, y_scale, order = verify._J_CASES[1]
+    bump = pipeline.default_delta_bump()
+    window = pipeline.default_window()
+    h = 2 * min(x_scale, y_scale) / 200
+    xs = x_scale / 2 + (np.arange(240) + 0.5) * h
+    ys = y_scale / 2 + (np.arange(200) + 0.5) * h
+    fx = window.fx.value_array(xs / x_scale) * kernels.bessel_j_array(
+        order, 4 * math.pi * a * np.sqrt(xs)
+    ) / np.sqrt(xs)
+    fy = window.fy.value_array(ys / y_scale) * kernels.bessel_j_array(
+        order, 4 * math.pi * b * np.sqrt(ys)
+    ) / np.sqrt(ys)
+    g = kernels.delta_weight_array(
+        q * c / q_cap, (xs[:, None] - ys[None, :] + r_shift) / (level * q_cap**2), bump
+    )
+    literal = math.fsum((fx[:, None] * g * fy[None, :]).ravel().tolist()) * h * h
+    lagged = verify._riemann_reference(
+        a, b, c, q, q_cap, level, r_shift, x_scale, y_scale, window, order, bump, n=200
+    )
+    assert literal != 0.0
+    assert abs(lagged - literal) <= 1e-13 * abs(literal), (lagged, literal)
+
+
+def test_row_reports_arithmetic_error_as_fail(monkeypatch):
+    """An ArithmeticError raised in a row body is that row's FAIL, with
+    detail 'TypeName: message'; any other exception propagates."""
+    monkeypatch.setattr(verify, "REGISTRY", ())
+
+    @verify._check("demo.mismatch", "raises PipelineMismatch")
+    def mismatch():
+        raise pipeline.PipelineMismatch(1.0, 2.0)
+
+    @verify._check("demo.bug", "raises KeyError")
+    def bug():
+        raise KeyError("not numerical")
+
+    assert mismatch() == verify.CheckResult(
+        "demo.mismatch",
+        "raises PipelineMismatch",
+        "FAIL",
+        "PipelineMismatch: direct 1.0 vs decomposition 2.0: difference 1.0",
+    )
+    with pytest.raises(KeyError):
+        bug()
